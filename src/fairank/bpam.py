@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Color, ColoredDigraph, from_edge_list
 
-__all__ = ["BpamParams", "GenerationStats", "DegreeSampler", "generate"]
+__all__ = ["BpamParams", "GenerationStats", "generate"]
 
 # Abort if a single edge sees this many rejected draws in a row; at any
 # valid homophily > 0 the expected number of retries is tiny, and 0 keeps
@@ -84,35 +84,6 @@ class GenerationStats:
     seed: int
 
 
-class DegreeSampler:
-    """Samples nodes proportionally to total degree.
-
-    Keeps a list holding each node once per unit of degree: every accepted
-    edge appends both endpoints, so a uniform index into the list is a
-    degree-proportional node draw with no further bookkeeping.
-    """
-
-    def __init__(self, endpoints=()):
-        self.endpoints: list[int] = list(endpoints)
-
-    @classmethod
-    def from_graph(cls, g: ColoredDigraph) -> "DegreeSampler":
-        return cls(np.repeat(np.arange(g.n), g.indeg + g.outdeg).tolist())
-
-    def add_edge(self, u: int, v: int) -> None:
-        self.endpoints.append(u)
-        self.endpoints.append(v)
-
-    def draw(self, u01: float) -> int:
-        """Degree-proportional draw driven by a uniform variate in [0, 1)."""
-        ep = self.endpoints
-        i = int(u01 * len(ep))
-        return ep[i] if i < len(ep) else ep[-1]
-
-    def __len__(self) -> int:
-        return len(self.endpoints)
-
-
 def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationStats]:
     """Grow one biased preferential-attachment graph.
 
@@ -147,8 +118,9 @@ def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationS
     dst = np.empty(n_edges, dtype=np.int64)
     src[0], dst[0] = 0, 1
 
-    sampler = DegreeSampler((0, 1))
-    ep = sampler.endpoints
+    # every node once per unit of total degree: a uniform index into the
+    # list is a degree-proportional draw
+    ep = [0, 1]
     ep_append = ep.append
 
     rejections = 0
@@ -169,7 +141,8 @@ def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationS
                 if pos >= _UNIFORM_BLOCK:
                     buf = rng.random(_UNIFORM_BLOCK)
                     pos = 0
-                v = sampler.draw(buf[pos])
+                slot = int(buf[pos] * len(ep))
+                v = ep[slot] if slot < len(ep) else ep[-1]
                 pos += 1
                 if v == u:
                     # the arrival already holds accepted endpoints; skip

@@ -5,33 +5,37 @@ CSV), ``curve`` (replica-averaged fairness curves), ``real`` (single-pass
 dataset analysis), ``meanfield`` (closed-form table), ``verify`` (analytic
 check sweep), ``sweep`` (curves across rho or subspace dimension).
 
-A flat ``key = value`` config file (``--config``) can hold any long-option
-default; explicit flags override it. Exit codes: 0 success, 1 usage error,
-2 data/computation error, 3 non-convergence under ``--strict``.
+Every option is declared once, in ``_OPTIONS``, with the subcommands that
+take it; a subcommand rejects options it would not use. A flat
+``key = value`` config file (``--config``) can hold the default of any
+option the subcommand takes; explicit flags override it. Exit codes:
+0 success, 1 usage error, 2 data/computation error, 3 non-convergence
+under ``--strict``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .experiments import (
     ALGORITHMS,
     ExperimentConfig,
-    compute_ranking,
     ranking_csv,
     run_generate,
+    run_rank,
     run_real,
     run_synthetic,
     sweep,
 )
 from .graph import GraphError
-from .io import load_graph
 from .meanfield import mean_field_report, verify_propositions
-from .bpam import generate
 
 __all__ = ["main"]
 
@@ -55,7 +59,12 @@ class CliParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_threads() -> int:
+def _threads(flag) -> int:
+    """Worker processes: ``--threads``, else FAIRANK_THREADS, else 1."""
+    if flag is not None:
+        if flag < 1:
+            raise GraphError("--threads must be at least 1")
+        return flag
     raw = os.environ.get("FAIRANK_THREADS", "1")
     try:
         value = int(raw)
@@ -66,115 +75,129 @@ def _env_threads() -> int:
     return value
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="flat key = value file with option defaults")
-    p.add_argument("--out-dir", default=".", help="directory for output files")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes for replicas (default: FAIRANK_THREADS or 1)",
-    )
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit with status 3 when any iterative ranker fails to converge",
-    )
-    return p
+# -- the option table ---------------------------------------------------------
+
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_FROM_FIELD = object()  # an _Option's default: its field's default, else None
 
 
-def _bpam_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--nodes", type=int, default=1000, help="node count N")
-    p.add_argument("--outdeg", type=int, default=6, help="edges per arriving node")
-    p.add_argument("--minority-ratio", type=float, default=0.3, help="red arrival probability")
-    p.add_argument("--homophily", type=float, default=0.5, help="cross-color acceptance probability")
-    p.add_argument("--seed", type=int, default=0, help="base seed; replica i uses seed + i")
-    p.add_argument("--reps", type=int, default=100, help="replica count")
-    return p
+@dataclass(frozen=True)
+class _Option:
+    """One command-line option, declared once.
+
+    ``type`` is ``str``, ``int`` or ``float`` for a single value, ``bool``
+    for a switch, and ``list`` for one or more words. ``field`` names the
+    ExperimentConfig field the option sets, through ``to_field`` when the
+    flag's spelling differs; the default is then that field's default
+    unless ``default`` says otherwise. Options without a field are read by
+    the subcommand itself. The table drives the parser, the building of
+    ExperimentConfig, and the keys (the flag with ``_`` for ``-``) and
+    value types of ``--config`` files.
+    """
+
+    flag: str
+    commands: str  # space-separated subcommands that take the option
+    help: str
+    type: type = str
+    field: Optional[str] = None
+    to_field: Optional[Callable] = None
+    default: object = _FROM_FIELD
+    choices: Optional[Sequence] = None
+    required: str = ""  # subcommands where the option must be given
+    metavar: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def add_to(self, parser, command: str) -> None:
+        if self.type is bool:
+            parser.add_argument(self.flag, action="store_true", help=self.help)
+            return
+        default = self.default
+        if default is _FROM_FIELD:
+            default = _FIELD_DEFAULTS.get(self.field)
+        kwargs = dict(default=default, choices=self.choices, help=self.help,
+                      metavar=self.metavar, required=command in self.required.split())
+        if self.type is list:
+            kwargs["nargs"] = "+"
+        else:
+            kwargs["type"] = self.type
+        parser.add_argument(self.flag, **kwargs)
 
 
-def _ranking_parent(multi: bool) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    if multi:
-        p.add_argument(
-            "--algos",
-            nargs="+",
-            default=["degree", "pagerank", "hits"],
-            choices=ALGORITHMS,
-            help="algorithms to compare",
-        )
-    else:
-        p.add_argument("--algo", default="hits", choices=ALGORITHMS)
-    p.add_argument("--eta", type=float, default=0.85, help="random-surfer damping")
-    p.add_argument("--eps", type=float, default=0.15, help="restart weight")
-    p.add_argument("--k", type=int, default=6, help="eigenspace dimension")
-    p.add_argument("--weight", default="unit", choices=sorted(_WEIGHT_BY_FLAG),
-                   help="eigenvalue weighting for the eigenspace ranker")
-    p.add_argument("--tol", type=float, default=1e-10, help="L1 convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=1000, help="iteration cap")
-    p.add_argument("--degree-which", default="total", choices=("in", "total"),
-                   help="degree kind for the degree ranker")
-    p.add_argument("--tie-shuffle", type=int, default=None, metavar="SEED",
-                   help="break score ties with a seeded shuffle instead of node id")
-    return p
+_GRAPHS = "generate rank curve real sweep"
+_BPAM = "generate rank curve sweep"
+_RANKING = "rank curve real sweep"
+_CURVES = "curve real sweep"
+_ANALYTIC = "meanfield verify"
+
+_OPTIONS = (
+    _Option("--config", _GRAPHS + " " + _ANALYTIC,
+            "flat key = value file with option defaults"),
+    _Option("--out-dir", "generate curve real sweep", "directory for output files",
+            field="out_dir"),
+    _Option("--out", "rank " + _ANALYTIC, "output file (default stdout)"),
+    _Option("--threads", _GRAPHS,
+            "worker processes for replicas (default: FAIRANK_THREADS or 1); "
+            "rank and real have one graph, so nothing to fan out",
+            type=int, field="threads", to_field=_threads, default=None),
+    _Option("--strict", _RANKING,
+            "exit with status 3 when any iterative ranker fails to converge",
+            type=bool),
+    _Option("--nodes", _BPAM, "node count N", type=int, field="n_nodes"),
+    _Option("--outdeg", _BPAM, "edges per arriving node", type=int, field="outdeg"),
+    _Option("--minority-ratio", _BPAM, "red arrival probability", type=float,
+            field="minority_ratio"),
+    _Option("--homophily", _BPAM, "cross-color acceptance probability", type=float,
+            field="homophily"),
+    _Option("--seed", _BPAM, "base seed; replica i uses seed + i", type=int,
+            field="base_seed"),
+    _Option("--reps", "generate curve sweep", "replica count", type=int, field="reps"),
+    _Option("--edges", "rank real sweep", "edge list file (src<TAB>dst)",
+            field="edge_file", required="real"),
+    _Option("--colors", "rank real sweep", "color file (node<TAB>R|B)",
+            field="color_file", required="real"),
+    _Option("--algos", _CURVES, "algorithms to compare", type=list, field="algos",
+            to_field=tuple, choices=ALGORITHMS),
+    _Option("--algo", "rank", "algorithm to rank with", field="algos",
+            to_field=lambda algo: (algo,), default="hits", choices=ALGORITHMS),
+    _Option("--eta", _RANKING, "random-surfer damping", type=float, field="eta"),
+    _Option("--eps", _RANKING, "restart weight", type=float, field="eps"),
+    _Option("--k", _RANKING, "eigenspace dimension", type=int, field="k"),
+    _Option("--weight", _RANKING, "eigenvalue weighting for the eigenspace ranker",
+            field="weight", to_field=_WEIGHT_BY_FLAG.__getitem__,
+            choices=sorted(_WEIGHT_BY_FLAG)),
+    _Option("--tol", _RANKING, "L1 convergence tolerance", type=float, field="tol"),
+    _Option("--max-iter", _RANKING, "iteration cap", type=int, field="max_iter"),
+    _Option("--degree-which", _RANKING, "degree kind for the degree ranker",
+            field="degree_which", choices=("in", "total")),
+    _Option("--tie-shuffle", _RANKING,
+            "break score ties with a seeded shuffle instead of node id",
+            type=int, field="tie_shuffle_seed", metavar="SEED"),
+    _Option("--grid-points", _CURVES, "points on the top-fraction grid", type=int,
+            field="grid_points"),
+    _Option("--svg", "curve real", "also write an SVG chart", type=bool, field="svg"),
+    _Option("--r", _ANALYTIC, "minority arrival rate", type=float),
+    _Option("--rho", _ANALYTIC, "cross-color acceptance probability", type=float),
+    _Option("--grid", _ANALYTIC, "sweep the default (r, rho) grid", type=bool),
+    _Option("--axis", "sweep", "swept parameter", choices=("rho", "k"),
+            required="sweep"),
+    _Option("--values", "sweep", "comma-separated axis values, e.g. 0.1,0.3,0.5",
+            required="sweep"),
+)
 
 
-def _files_parent(required: bool) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--edges", required=required, help="edge list file (src<TAB>dst)")
-    p.add_argument("--colors", required=required, help="color file (node<TAB>R|B)")
-    return p
+def _options_of(command: str) -> list[_Option]:
+    return [opt for opt in _OPTIONS if command in opt.commands.split()]
 
 
-def _build_parser() -> CliParser:
-    parser = CliParser(prog="fairank", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    common = _common_parent()
-    bpam = _bpam_parent()
-
-    sp = sub.add_parser("generate", parents=[common, bpam],
-                        help="emit raw replica graphs with stats")
-
-    sp = sub.add_parser("rank", parents=[common, _ranking_parent(multi=False),
-                                         _bpam_parent(), _files_parent(required=False)],
-                        help="rank one graph, CSV node,score,rank")
-    sp.add_argument("--out", default=None, help="output file (default stdout)")
-
-    sp = sub.add_parser("curve", parents=[common, bpam, _ranking_parent(multi=True)],
-                        help="replica-averaged minority share curves")
-    sp.add_argument("--grid-points", type=int, default=40)
-    sp.add_argument("--svg", action="store_true", help="also write an SVG chart")
-
-    sp = sub.add_parser("real", parents=[common, _files_parent(required=True),
-                                         _ranking_parent(multi=True)],
-                        help="analyze a dataset from files")
-    sp.add_argument("--grid-points", type=int, default=40)
-    sp.add_argument("--svg", action="store_true")
-
-    sp = sub.add_parser("meanfield", parents=[common],
-                        help="closed-form analytics as CSV")
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--grid", action="store_true", help="sweep the default (r, rho) grid")
-    sp.add_argument("--out", default=None, help="output file (default stdout)")
-
-    sp = sub.add_parser("verify", parents=[common],
-                        help="run analytic checks, CSV r,rho,check,mode,passed,margin")
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--grid", action="store_true")
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("sweep", parents=[common, bpam, _ranking_parent(multi=True),
-                                          _files_parent(required=False)],
-                        help="curve sets across rho or eigenspace dimension")
-    sp.add_argument("--axis", required=True, choices=("rho", "k"))
-    sp.add_argument("--values", required=True,
-                    help="comma-separated axis values, e.g. 0.1,0.3,0.5")
-    sp.add_argument("--grid-points", type=int, default=40)
-
+def _build_parser(command: str) -> CliParser:
+    """The parser of one subcommand, built from the option table."""
+    parser = CliParser(prog=f"fairank {command}", description=_COMMANDS[command][1])
+    parser.set_defaults(command=command)
+    for opt in _options_of(command):
+        opt.add_to(parser, command)
     return parser
 
 
@@ -201,31 +224,25 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _config_argv(parser: CliParser, command: str, path: str) -> list[str]:
+def _config_argv(command: str, path: str) -> list[str]:
     """Turn a config file into argv tokens injected before user flags."""
-    subparser = None
-    for action in parser._subparsers._group_actions:
-        subparser = action.choices.get(command)
-    if subparser is None:
-        return []
-    known = subparser._option_string_actions
+    options = {opt.dest: opt for opt in _options_of(command) if opt.flag != "--config"}
     tokens: list[str] = []
     for key, value in _read_config_file(path):
-        option = "--" + key.replace("_", "-")
-        action = known.get(option)
-        if action is None or option == "--config":
+        opt = options.get(key)
+        if opt is None:
             raise GraphError(f"config key {key!r} is not an option of '{command}'")
-        if isinstance(action, argparse._StoreTrueAction):
+        if opt.type is bool:
             low = value.lower()
             if low in _TRUE_WORDS:
-                tokens.append(option)
+                tokens.append(opt.flag)
             elif low not in _FALSE_WORDS:
                 raise GraphError(f"config key {key!r}: boolean value expected")
-        elif action.nargs in ("+", "*"):
-            tokens.append(option)
+        elif opt.type is list:
+            tokens.append(opt.flag)
             tokens.extend(value.split())
         else:
-            tokens.extend([option, value])
+            tokens.extend([opt.flag, value])
     return tokens
 
 
@@ -258,40 +275,29 @@ def _split_argv(argv: list[str]):
 
 # -- subcommand implementations ---------------------------------------------
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise GraphError("--threads must be at least 1")
-        return args.threads
-    return _env_threads()
+def _config(args, **fixed) -> ExperimentConfig:
+    """ExperimentConfig from the options the subcommand took; fields it
+    does not take keep their defaults unless ``fixed`` sets them."""
+    values = vars(args)
+    fields = dict(fixed)
+    for opt in _options_of(args.command):
+        if opt.field is not None:
+            value = values[opt.dest]
+            fields[opt.field] = value if opt.to_field is None else opt.to_field(value)
+    return ExperimentConfig(**fields)
 
 
-def _config_from_args(args, mode: str) -> ExperimentConfig:
-    algos = tuple(args.algos) if hasattr(args, "algos") else ("degree",)
-    return ExperimentConfig(
-        mode=mode,
-        n_nodes=getattr(args, "nodes", 1000),
-        outdeg=getattr(args, "outdeg", 6),
-        minority_ratio=getattr(args, "minority_ratio", 0.3),
-        homophily=getattr(args, "homophily", 0.5),
-        reps=getattr(args, "reps", 1),
-        base_seed=getattr(args, "seed", 0),
-        edge_file=getattr(args, "edges", None),
-        color_file=getattr(args, "colors", None),
-        algos=algos,
-        eta=args.eta,
-        eps=args.eps,
-        k=args.k,
-        weight=_WEIGHT_BY_FLAG[args.weight],
-        tol=args.tol,
-        max_iter=args.max_iter,
-        degree_which=args.degree_which,
-        tie_shuffle_seed=args.tie_shuffle,
-        grid_points=getattr(args, "grid_points", 40),
-        out_dir=args.out_dir,
-        threads=_resolve_threads(args),
-        svg=getattr(args, "svg", False),
-    )
+def _mode(args) -> str:
+    if (args.edges is None) != (args.colors is None):
+        raise GraphError("--edges and --colors must be given together")
+    return "synthetic" if args.edges is None else "real"
+
+
+def _strict_exit(args, converged: bool, message: str) -> int:
+    if args.strict and not converged:
+        sys.stderr.write(f"fairank {args.command}: {message}\n")
+        return EXIT_NONCONVERGED
+    return EXIT_OK
 
 
 def _emit(text: str, out) -> None:
@@ -303,56 +309,25 @@ def _emit(text: str, out) -> None:
 
 
 def _cmd_generate(args) -> int:
-    config = ExperimentConfig(
-        mode="synthetic",
-        n_nodes=args.nodes,
-        outdeg=args.outdeg,
-        minority_ratio=args.minority_ratio,
-        homophily=args.homophily,
-        reps=args.reps,
-        base_seed=args.seed,
-        out_dir=args.out_dir,
-        threads=_resolve_threads(args),
-    )
-    run_generate(config)
+    run_generate(_config(args))
     return EXIT_OK
 
 
 def _cmd_rank(args) -> int:
-    if (args.edges is None) != (args.colors is None):
-        raise GraphError("--edges and --colors must be given together")
-    if args.edges is not None:
-        g, labels = load_graph(args.edges, args.colors)
-    else:
-        g, _ = generate(
-            _config_from_args(args, "synthetic").bpam_params(), args.seed
-        )
-        labels = None
-    config = _config_from_args(args, "synthetic")
-    result = compute_ranking(g, args.algo, config)
+    (result,), labels = run_rank(_config(args, mode=_mode(args)))
     _emit(ranking_csv(result, labels), args.out)
-    if args.strict and not result.converged:
-        sys.stderr.write("fairank rank: did not converge within --max-iter\n")
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _strict_exit(args, result.converged, "did not converge within --max-iter")
 
 
 def _cmd_curve(args) -> int:
-    config = _config_from_args(args, "synthetic")
-    _, _, all_converged = run_synthetic(config)
-    if args.strict and not all_converged:
-        sys.stderr.write("fairank curve: some replicas did not converge\n")
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    _, _, all_converged = run_synthetic(_config(args))
+    return _strict_exit(args, all_converged, "some replicas did not converge")
 
 
 def _cmd_real(args) -> int:
-    config = _config_from_args(args, "real")
-    _, _, all_converged = run_real(config)
-    if args.strict and not all_converged:
-        sys.stderr.write("fairank real: some rankers did not converge\n")
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    # a dataset is one replica
+    _, _, all_converged = run_real(_config(args, mode="real", reps=1))
+    return _strict_exit(args, all_converged, "some rankers did not converge")
 
 
 def _points(args) -> list[tuple[float, float]]:
@@ -400,10 +375,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    mode = "real" if args.edges is not None else "synthetic"
-    if mode == "real" and args.colors is None:
-        raise GraphError("--edges and --colors must be given together")
-    config = _config_from_args(args, mode)
+    config = _config(args, mode=_mode(args))
     raw = [v for v in args.values.split(",") if v.strip()]
     if not raw:
         raise GraphError("--values is empty")
@@ -412,38 +384,37 @@ def _cmd_sweep(args) -> int:
     else:
         values = [float(v) for v in raw]
     _, _, all_converged = sweep(config, args.axis, values)
-    if args.strict and not all_converged:
-        sys.stderr.write("fairank sweep: some runs did not converge\n")
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _strict_exit(args, all_converged, "some runs did not converge")
 
 
+# subcommand -> (implementation, help line)
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "rank": _cmd_rank,
-    "curve": _cmd_curve,
-    "real": _cmd_real,
-    "meanfield": _cmd_meanfield,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
+    "generate": (_cmd_generate, "emit raw replica graphs with stats"),
+    "rank": (_cmd_rank, "rank one graph, CSV node,score,rank"),
+    "curve": (_cmd_curve, "replica-averaged minority share curves"),
+    "real": (_cmd_real, "analyze a dataset from files"),
+    "meanfield": (_cmd_meanfield, "closed-form analytics as CSV"),
+    "verify": (_cmd_verify, "run analytic checks, CSV r,rho,check,mode,passed,margin"),
+    "sweep": (_cmd_sweep, "curve sets across rho or eigenspace dimension"),
 }
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     command, config_path, rest = _split_argv(argv)
-    if command is None:
-        parser.error("a subcommand is required")
     if command not in _COMMANDS:
-        parser.error(f"unknown subcommand {command!r}")
+        top = CliParser(prog="fairank", usage="fairank {%s} [options]" % ",".join(_COMMANDS))
+        if command is None:
+            top.error("a subcommand is required")
+        top.error(f"unknown subcommand {command!r}")
+    parser = _build_parser(command)
     try:
-        injected = _config_argv(parser, command, config_path) if config_path else []
+        injected = _config_argv(command, config_path) if config_path else []
     except GraphError as exc:
         parser.error(str(exc))
-    args = parser.parse_args([command] + injected + rest)
+    args = parser.parse_args(injected + rest)
     try:
-        return _COMMANDS[command](args)
+        return _COMMANDS[command][0](args)
     except (GraphError, ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"fairank {command}: error: {exc}\n")
         return EXIT_DATA

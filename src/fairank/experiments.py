@@ -1,13 +1,14 @@
-"""Experiment orchestration: replica fan-out, aggregation, CSV emission.
+"""Experiment orchestration: one replica pipeline, aggregation, CSV emission.
 
-A run takes an :class:`ExperimentConfig`, generates (or loads) graphs,
-applies the configured rankers, averages fairness curves across replicas,
-and writes CSV outputs plus a JSON manifest that records the configuration,
-per-replica seeds, and a hash of every emitted file. Replicas fan out over
-a process pool; reduction always happens in replica-index order, so a
+Every run is one plan: a graph source (BPAM replica seeds, or one edge and
+color file pair) crossed with ranker specs and, for sweeps, axis values. A
+top-level worker builds one replica's graph at a time, ranks it under every
+spec and keeps only what the run writes. Replicas fan out over a process
+pool; reduction always happens in replica-index order, so a
 single-threaded run is byte-reproducible and a multi-threaded run produces
-the same aggregates up to float associativity (identical here, since
-reduction order is fixed).
+the same aggregates. Each run writes CSV outputs plus a JSON manifest that
+records the configuration, per-replica seeds, and a hash of every emitted
+file.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
     "RunManifest",
     "compute_ranking",
     "averaged_ccdf",
+    "run_generate",
+    "run_rank",
     "run_synthetic",
     "run_real",
     "sweep",
@@ -231,37 +234,104 @@ def _stats_csv(stats_list: Sequence[GenerationStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- replica workers (top level so process pools can pickle them) ----------
+# -- the replica pipeline ---------------------------------------------------
 
-def _curve_replica(args) -> tuple:
-    config, seed = args
-    g, stats = generate(config.bpam_params(), seed)
-    grid = log_grid(g.n, config.grid_points)
-    curves = {}
-    flags = {}
-    for algo in config.algos:
-        result = compute_ranking(g, algo, config)
-        order = result.order
-        if config.tie_shuffle_seed is not None:
-            order = rank_order(result.scores, config.tie_shuffle_seed + seed)
-        curves[algo] = minority_share_curve(order, g.colors, grid)
-        flags[algo] = result.converged
-    return curves, flags, stats
+@dataclass(frozen=True)
+class _Replica:
+    """One replica's work order for :func:`_run_replica`.
 
+    ``config`` names the graph source: BPAM parameters with seed
+    ``config.replica_seed(index)``, or in real mode the file pair, which is
+    replica 0. Every ``(algo, config)`` pair in ``specs`` ranks the same
+    graph. ``keep`` picks what comes back per spec: ``"curves"`` (a
+    minority-share curve) or ``"rankings"`` (the RankingResult); ``"files"``
+    ranks nothing and writes the graph into ``config.out_dir`` instead.
+    """
 
-def _generate_replica(args) -> GenerationStats:
-    config, seed, index, out_dir = args
-    g, stats = generate(config.bpam_params(), seed)
-    write_edge_list(os.path.join(out_dir, f"edges_{index:04d}.tsv"), g)
-    write_color_file(os.path.join(out_dir, f"colors_{index:04d}.tsv"), g)
-    return stats
+    config: ExperimentConfig
+    index: int
+    specs: tuple = ()
+    keep: str = "curves"
 
 
-def _fan_out(config: ExperimentConfig, worker, job_args: list):
-    if config.threads == 1:
-        return [worker(args) for args in job_args]
+@dataclass(frozen=True)
+class _Outcome:
+    stats: Optional[GenerationStats]  # None for a loaded graph
+    outputs: list  # one FairnessCurve or RankingResult per spec
+    converged: bool
+    loaded: Optional[tuple] = None  # (graph, labels) of a loaded graph
+
+
+def _run_replica(job: _Replica) -> _Outcome:
+    """Build one replica's graph and rank it under every spec (top level, so
+    process pools can pickle it). A tie-shuffle seed reorders ties by
+    ``tie_shuffle_seed + replica seed``."""
+    config = job.config
+    seed = config.replica_seed(job.index)
+    stats = loaded = None
+    if config.mode == "real":
+        g, labels = load_graph(config.edge_file, config.color_file)
+        loaded = (g, labels)
+        if job.keep == "curves" and minority_fraction(g) in (0.0, 1.0):
+            raise GraphError("dataset has a single color; analysis undefined")
+    else:
+        g, stats = generate(config.bpam_params(), seed)
+    if job.keep == "files":
+        write_edge_list(os.path.join(config.out_dir, f"edges_{job.index:04d}.tsv"), g)
+        write_color_file(os.path.join(config.out_dir, f"colors_{job.index:04d}.tsv"), g)
+    if job.keep == "curves":
+        grid = log_grid(g.n, config.grid_points)
+    outputs = []
+    converged = True
+    for algo, spec in job.specs:
+        result = compute_ranking(g, algo, spec)
+        if spec.tie_shuffle_seed is not None:
+            order = rank_order(result.scores, spec.tie_shuffle_seed + seed)
+            result = dataclasses.replace(result, order=order)
+        converged = converged and result.converged
+        if job.keep == "curves":
+            result = minority_share_curve(result.order, g.colors, grid)
+        outputs.append(result)
+    return _Outcome(stats, outputs, converged, loaded)
+
+
+def _fan_out(config: ExperimentConfig, jobs: list) -> list:
+    """Outcomes in job order; a process pool only when there is work to share."""
+    if config.threads == 1 or len(jobs) == 1:
+        return [_run_replica(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(worker, job_args))
+        return list(pool.map(_run_replica, jobs))
+
+
+def _replicas(config: ExperimentConfig, specs: tuple, keep: str = "curves") -> list:
+    """Every replica of ``config``'s graph source, in replica order."""
+    count = config.reps if config.mode == "synthetic" else 1
+    return _fan_out(config, [_Replica(config, i, specs, keep) for i in range(count)])
+
+
+def _curves(config: ExperimentConfig, specs: tuple) -> tuple[list, list]:
+    """Replica-mean curve per spec, reduced in replica order, plus the outcomes."""
+    outcomes = _replicas(config, specs)
+    averaged = [
+        average_curves([outcome.outputs[j] for outcome in outcomes])
+        for j in range(len(specs))
+    ]
+    return averaged, outcomes
+
+
+def _algo_specs(config: ExperimentConfig) -> tuple:
+    return tuple((algo, config) for algo in config.algos)
+
+
+def _converged(outcomes) -> bool:
+    return all(outcome.converged for outcome in outcomes)
+
+
+def _seeds(config: ExperimentConfig) -> list[int]:
+    """Generator seeds of the replicas; a loaded graph has none."""
+    if config.mode == "real":
+        return []
+    return [config.replica_seed(i) for i in range(config.reps)]
 
 
 def _maybe_svg(config, out_dir, averaged: dict, filenames: list) -> None:
@@ -273,19 +343,33 @@ def _maybe_svg(config, out_dir, averaged: dict, filenames: list) -> None:
     filenames.append("curves.svg")
 
 
+# -- run paths: each picks its outputs over the replica pipeline -----------
+
 def run_generate(config: ExperimentConfig) -> RunManifest:
     """Emit raw replica graphs (edge + color files) plus generation stats."""
     t0 = time.perf_counter()
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [config.replica_seed(i) for i in range(config.reps)]
-    jobs = [(config, seed, i, out_dir) for i, seed in enumerate(seeds)]
-    stats = _fan_out(config, _generate_replica, jobs)
-    _write_text(os.path.join(out_dir, "stats.csv"), _stats_csv(stats))
+    outcomes = _replicas(config, (), keep="files")
+    _write_text(
+        os.path.join(out_dir, "stats.csv"), _stats_csv([o.stats for o in outcomes])
+    )
     filenames = ["stats.csv"]
     filenames += [f"edges_{i:04d}.tsv" for i in range(config.reps)]
     filenames += [f"colors_{i:04d}.tsv" for i in range(config.reps)]
-    return _manifest("generate", config, seeds, t0, out_dir, filenames)
+    return _manifest("generate", config, _seeds(config), t0, out_dir, filenames)
+
+
+def run_rank(config: ExperimentConfig) -> tuple[list, Optional[list]]:
+    """Rank one graph under every algorithm in ``config.algos``.
+
+    The graph is replica 0 of the BPAM source (seed ``base_seed``), or the
+    loaded file pair in real mode. Returns the RankingResults in ``algos``
+    order and the loaded graph's node labels (None for a generated graph).
+    """
+    (outcome,) = _fan_out(config, [_Replica(config, 0, _algo_specs(config), "rankings")])
+    labels = outcome.loaded[1] if outcome.loaded else None
+    return outcome.outputs, labels
 
 
 def run_synthetic(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
@@ -297,24 +381,16 @@ def run_synthetic(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     t0 = time.perf_counter()
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    seeds = [config.replica_seed(i) for i in range(config.reps)]
-    results = _fan_out(config, _curve_replica, [(config, s) for s in seeds])
-
-    averaged = {
-        algo: average_curves([curves[algo] for curves, _, _ in results])
-        for algo in config.algos
-    }
-    all_converged = all(
-        flag for _, flags, _ in results for flag in flags.values()
-    )
+    averaged, outcomes = _curves(config, _algo_specs(config))
+    averaged = dict(zip(config.algos, averaged))
     _write_text(os.path.join(out_dir, "curves.csv"), curve_compare(averaged))
     _write_text(
-        os.path.join(out_dir, "stats.csv"), _stats_csv([st for _, _, st in results])
+        os.path.join(out_dir, "stats.csv"), _stats_csv([o.stats for o in outcomes])
     )
     filenames = ["curves.csv", "stats.csv"]
     _maybe_svg(config, out_dir, averaged, filenames)
-    manifest = _manifest("curve", config, seeds, t0, out_dir, filenames)
-    return averaged, manifest, all_converged
+    manifest = _manifest("curve", config, _seeds(config), t0, out_dir, filenames)
+    return averaged, manifest, _converged(outcomes)
 
 
 def run_real(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
@@ -327,24 +403,15 @@ def run_real(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     t0 = time.perf_counter()
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    g, labels = load_graph(config.edge_file, config.color_file)
-    r_hat = minority_fraction(g)
-    if r_hat in (0.0, 1.0):
-        raise GraphError("dataset has a single color; analysis undefined")
-
-    grid = log_grid(g.n, config.grid_points)
-    curves = {}
-    all_converged = True
-    for algo in config.algos:
-        result = compute_ranking(g, algo, config)
-        curves[algo] = minority_share_curve(result.order, g.colors, grid)
-        all_converged &= result.converged
+    curves, outcomes = _curves(config, _algo_specs(config))
+    curves = dict(zip(config.algos, curves))
+    g, labels = outcomes[0].loaded
 
     summary = [
         "key,value",
         f"nodes,{g.n}",
         f"edges,{g.n_edges}",
-        f"minority_fraction,{_fmt(r_hat)}",
+        f"minority_fraction,{_fmt(minority_fraction(g))}",
         f"hri,{_fmt(hri(g))}",
     ]
     _write_text(os.path.join(out_dir, "curves.csv"), curve_compare(curves))
@@ -357,16 +424,17 @@ def run_real(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     filenames = ["curves.csv", "summary.csv", "ccdf.csv", "node_mapping.tsv"]
     _maybe_svg(config, out_dir, curves, filenames)
     manifest = _manifest("real", config, [], t0, out_dir, filenames)
-    return curves, manifest, all_converged
+    return curves, manifest, _converged(outcomes)
 
 
 def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, RunManifest, bool]:
     """Curve sets across a swept parameter.
 
     ``axis="rho"`` regenerates synthetic replicas per homophily value;
-    ``axis="k"`` reruns the eigenspace ranker per subspace dimension on
-    the configured input (synthetic replicas or a real dataset). Emits one
-    long-format CSV ``axis,value,algo,x,share,baseline``.
+    ``axis="k"`` builds each replica graph of the configured input
+    (synthetic replicas or a real dataset) once and ranks it with the
+    eigenspace ranker at every subspace dimension. Emits one long-format
+    CSV ``axis,value,algo,x,share,baseline``.
     """
     if axis not in ("rho", "k"):
         raise ValueError("axis must be 'rho' or 'k'")
@@ -377,37 +445,32 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, R
     t0 = time.perf_counter()
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["axis,value,algo,x,share,baseline"]
+    rows = []  # (value text, algo, curve)
     seeds: list[int] = []
     converged = True
 
-    for value in values:
-        if axis == "rho":
+    if axis == "rho":
+        for value in values:
             sub = dataclasses.replace(config, homophily=float(value))
-        else:
-            sub = dataclasses.replace(config, k=int(value), algos=("subspace",))
-        if config.mode == "real" and axis == "k":
-            g, _ = load_graph(sub.edge_file, sub.color_file)
-            grid = log_grid(g.n, sub.grid_points)
-            result = compute_ranking(g, "subspace", sub)
-            converged &= result.converged
-            averaged = {"subspace": minority_share_curve(result.order, g.colors, grid)}
-        else:
-            replica_seeds = [sub.replica_seed(i) for i in range(sub.reps)]
-            seeds.extend(replica_seeds)
-            results = _fan_out(sub, _curve_replica, [(sub, s) for s in replica_seeds])
-            averaged = {
-                algo: average_curves([curves[algo] for curves, _, _ in results])
-                for algo in sub.algos
-            }
-            converged &= all(f for _, flags, _ in results for f in flags.values())
-        value_txt = repr(int(value)) if axis == "k" else _fmt(value)
-        for algo, curve in averaged.items():
-            for x, s in zip(curve.grid.tolist(), curve.share.tolist()):
-                lines.append(
-                    f"{axis},{value_txt},{algo},{x!r},{s!r},{curve.baseline!r}"
-                )
+            averaged, outcomes = _curves(sub, _algo_specs(sub))
+            rows += [(_fmt(value), algo, c) for algo, c in zip(sub.algos, averaged)]
+            seeds += _seeds(sub)
+            converged = converged and _converged(outcomes)
+    else:
+        specs = tuple(
+            ("subspace", dataclasses.replace(config, k=int(value))) for value in values
+        )
+        averaged, outcomes = _curves(config, specs)
+        rows = [(repr(int(v)), "subspace", c) for v, c in zip(values, averaged)]
+        # every value averages the same replicas, and the manifest says so
+        seeds = _seeds(config) * len(values)
+        converged = _converged(outcomes)
 
-    _write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    lines = ["axis,value,algo,x,share,baseline"]
+    for value_txt, algo, curve in rows:
+        for x, s in zip(curve.grid.tolist(), curve.share.tolist()):
+            lines.append(f"{axis},{value_txt},{algo},{x!r},{s!r},{curve.baseline!r}")
+    text = "\n".join(lines) + "\n"
+    _write_text(os.path.join(out_dir, "sweep.csv"), text)
     manifest = _manifest(f"sweep:{axis}", config, seeds, t0, out_dir, ["sweep.csv"])
-    return "\n".join(lines) + "\n", manifest, converged
+    return text, manifest, converged

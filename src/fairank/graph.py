@@ -2,9 +2,8 @@
 
 Nodes are dense integer ids ``0..n-1``, each carrying one of two community
 colors. Parallel edges are kept with their multiplicity. The structure is
-immutable after construction; adjacency is stored in CSR-style offset/target
-arrays so per-node neighbor lookups and whole-graph matrix-vector products
-are both cheap.
+immutable after construction; adjacency is the edge list itself, so a
+whole-graph matrix-vector product is one weighted ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ class ColoredDigraph:
         int64 arrays, one entry per edge, in insertion order.
     indeg, outdeg : np.ndarray
         Per-node degree counts including parallel-edge multiplicity.
-    out_offsets, out_targets : np.ndarray
-        CSR adjacency: the successors of ``v`` are
-        ``out_targets[out_offsets[v]:out_offsets[v + 1]]``.
-    in_offsets, in_sources : np.ndarray
-        Same layout for predecessors.
     """
 
     n: int
@@ -81,10 +75,6 @@ class ColoredDigraph:
     dst: np.ndarray
     indeg: np.ndarray
     outdeg: np.ndarray
-    out_offsets: np.ndarray
-    out_targets: np.ndarray
-    in_offsets: np.ndarray
-    in_sources: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -100,30 +90,14 @@ class ColoredDigraph:
             return self.indeg + self.outdeg
         raise ValueError(f"unknown degree kind {which!r}: expected one of {DEGREE_KINDS}")
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_targets[self.out_offsets[v] : self.out_offsets[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_sources[self.in_offsets[v] : self.in_offsets[v + 1]]
-
     def is_red(self) -> np.ndarray:
         """Boolean mask of minority (R) nodes."""
         return self.colors == Color.R
-
-    def nodes_of_color(self, color: Color) -> np.ndarray:
-        return np.flatnonzero(self.colors == int(color))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _csr(keys: np.ndarray, values: np.ndarray, n: int):
-    order = np.argsort(keys, kind="stable")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=offsets[1:])
-    return _freeze(offsets), _freeze(values[order].copy())
 
 
 def _coerce_colors(colors: ColorSpec) -> np.ndarray:
@@ -189,8 +163,6 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
 
     indeg = np.bincount(dst, minlength=n).astype(np.int64)
     outdeg = np.bincount(src, minlength=n).astype(np.int64)
-    out_offsets, out_targets = _csr(src, dst, n)
-    in_offsets, in_sources = _csr(dst, src, n)
 
     return ColoredDigraph(
         n=n,
@@ -199,10 +171,6 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
         dst=_freeze(dst),
         indeg=_freeze(indeg),
         outdeg=_freeze(outdeg),
-        out_offsets=out_offsets,
-        out_targets=out_targets,
-        in_offsets=in_offsets,
-        in_sources=in_sources,
     )
 
 

@@ -1,8 +1,9 @@
 """Reading and writing the on-disk graph formats.
 
 Edge lists are tab-separated ``src<TAB>dst`` lines; color files are
-``node<TAB>R`` / ``node<TAB>B``. Blank lines and ``#`` comments are
-ignored in both. Node labels may be arbitrary strings; they are remapped
+``node<TAB>R`` / ``node<TAB>B``. Blank lines are ignored in both, and a
+``#`` at the start of a line or of a tab-separated field starts a comment
+that runs to the end of the line; a ``#`` inside a label is kept. Node labels may be arbitrary strings; they are remapped
 to dense ids in color-file order and the mapping can be written back out.
 """
 
@@ -25,10 +26,21 @@ __all__ = [
 ]
 
 
+def _drop_comment(line: str) -> str:
+    """Cut a line at the first tab-separated field that starts with ``#``."""
+    fields = line.split("\t")
+    for i, field in enumerate(fields):
+        if field.lstrip().startswith("#"):
+            return "\t".join(fields[:i])
+    return line
+
+
 def _records(path) -> Iterable[tuple[int, list[str]]]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
+            if "#" in line:
+                line = _drop_comment(line)
+            body = line.strip()
             if not body:
                 continue
             yield lineno, body.split("\t")

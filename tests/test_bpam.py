@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from fairank.bpam import BpamParams, DegreeSampler, generate
-from fairank.graph import Color, from_edge_list, hri, minority_fraction
+from fairank.bpam import BpamParams, generate
+from fairank.graph import Color, hri, minority_fraction
 from fairank.meanfield import solve_alpha
 
 from conftest import BASE_SEED
@@ -68,30 +68,32 @@ def test_homophily_one_is_color_blind():
     assert cross == pytest.approx(0.42, abs=0.02)
 
 
-def test_degree_sampler_tracks_degree_proportions():
-    g = from_edge_list(
-        [(0, 1), (0, 2), (2, 1), (3, 0)],
-        [Color.R, Color.B, Color.B, Color.R],
-    )
-    sampler = DegreeSampler.from_graph(g)
-    assert len(sampler) == 2 * g.n_edges
-    probs = (g.indeg + g.outdeg) / (2 * g.n_edges)
-    draws = np.fromiter(
-        (sampler.draw(u) for u in np.random.default_rng(0).random(1_000_000)),
-        dtype=np.int64,
-    )
-    freqs = np.bincount(draws, minlength=4) / draws.size
-    sigma = np.sqrt(probs * (1 - probs) / draws.size)
-    assert np.all(np.abs(freqs - probs) < 4 * sigma + 1e-12)
-
-
-def test_degree_sampler_endpoints_update():
-    sampler = DegreeSampler((0, 1))
-    sampler.add_edge(2, 0)
-    assert sampler.endpoints == [0, 1, 2, 0]
-    assert sampler.draw(0.0) == 0
-    assert sampler.draw(0.999999) == 0  # last slot
-    assert sampler.draw(0.5) == 2
+def test_edge_targets_follow_exact_law():
+    # With d = 1, arrival u draws its one target v with probability
+    # proportional to deg(v) * w(v): deg counts the endpoints of the earlier
+    # edges, and w is 1 for u's color and rho otherwise, since a rejected
+    # cross-color draw restarts. Checked per (u, v) over many seeds.
+    n, rho, reps = 6, 0.25, 3000
+    expected = np.zeros((n, n))
+    variance = np.zeros((n, n))
+    observed = np.zeros((n, n))
+    same_color_seed = 0
+    for seed in range(reps):
+        g, _ = generate(BpamParams(n, 1, 0.3, rho), seed=seed)
+        for u in range(2, n):
+            earlier = np.concatenate([g.src[: u - 1], g.dst[: u - 1]])
+            weight = np.bincount(earlier, minlength=n) * np.where(
+                g.colors == g.colors[u], 1.0, rho
+            )
+            p = weight / weight.sum()
+            expected[u] += p
+            variance[u] += p * (1 - p)
+            observed[u, g.dst[u - 1]] += 1
+        same_color_seed += int(g.colors[g.dst[1]] == g.colors[2])
+    assert np.all(np.abs(observed - expected) <= 4 * np.sqrt(variance) + 1e-9)
+    # the third node's edge hits the same-color seed with probability 1/(1+rho)
+    p_same = 1 / (1 + rho)
+    assert abs(same_color_seed - reps * p_same) <= 4 * np.sqrt(reps * p_same * (1 - p_same))
 
 
 def test_parameter_validation():

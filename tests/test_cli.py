@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import fairank.experiments
 from fairank.bpam import BpamParams, generate
 from fairank.cli import main
-from fairank.io import write_color_file, write_edge_list
+from fairank.experiments import ExperimentConfig, compute_ranking
+from fairank.fairness import curve_compare, log_grid, minority_share_curve
+from fairank.io import load_graph, write_color_file, write_edge_list
 from fairank.meanfield import mf_ratio
+from fairank.rankers import degree_rank, rank_order
 
 from conftest import BASE_SEED
 
@@ -286,6 +290,120 @@ def test_sweep_empty_values(tmp_path, capsys):
     code = run_cli("sweep", "--axis", "k", "--values", ",,",
                    "--out-dir", str(tmp_path))
     assert code == 2
+
+
+# -- every accepted flag does what it says ------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--nodes", "10", "--reps", "1", "--strict"],
+    ["meanfield", "--grid", "--strict"],
+    ["verify", "--r", "0.7", "--rho", "0.4", "--strict"],
+    ["meanfield", "--grid", "--threads", "7"],
+    ["verify", "--grid", "--threads", "2"],
+    ["rank", "--nodes", "30", "--reps", "50"],
+    ["rank", "--nodes", "30", "--out-dir", "elsewhere"],
+    ["meanfield", "--grid", "--out-dir", "elsewhere"],
+    ["verify", "--grid", "--out-dir", "elsewhere"],
+])
+def test_flag_a_subcommand_would_ignore_exits_one(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+
+
+def _ranked_nodes(text):
+    return [int(row.split(",")[0]) for row in text.strip().split("\n")[1:]]
+
+
+def test_rank_tie_shuffle_reorders_tied_degrees(capsys):
+    argv = ["rank", "--nodes", "60", "--outdeg", "3", "--seed", "2", "--algo", "degree"]
+    assert run_cli(*argv) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(*argv, "--tie-shuffle", "4") == 0
+    shuffled = capsys.readouterr().out
+    scores = degree_rank(generate(BpamParams(60, 3, 0.3, 0.5), seed=2)[0]).scores
+    # replica 0 of base seed 2: ties ordered by the permutation of seed 4 + 2
+    assert _ranked_nodes(shuffled) == rank_order(scores, 6).tolist()
+    assert _ranked_nodes(shuffled) != _ranked_nodes(plain)
+
+
+def test_rank_tie_shuffle_on_files_uses_base_seed(dataset, capsys):
+    edges, colors = dataset
+    argv = ["rank", "--edges", edges, "--colors", colors, "--algo", "degree",
+            "--seed", "5", "--tie-shuffle", "4"]
+    assert run_cli(*argv) == 0
+    labels = [int(label) for label in load_graph(edges, colors)[1]]
+    scores = degree_rank(load_graph(edges, colors)[0]).scores
+    expected = [labels[node] for node in rank_order(scores, 9).tolist()]
+    assert _ranked_nodes(capsys.readouterr().out) == expected
+
+
+def test_real_tie_shuffle_reorders_tied_degrees(dataset, tmp_path):
+    edges, colors = dataset
+    g, _ = load_graph(edges, colors)
+    texts = []
+    for tag, extra in (("plain", []), ("shuffled", ["--tie-shuffle", "4"])):
+        out = tmp_path / tag
+        assert run_cli("real", "--edges", edges, "--colors", colors,
+                       "--algos", "degree", "--out-dir", str(out), *extra) == 0
+        texts.append((out / "curves.csv").read_text())
+    # a loaded graph is replica 0 of base seed 0
+    order = rank_order(degree_rank(g).scores, 4)
+    expected = curve_compare({"degree": minority_share_curve(order, g.colors, log_grid(g.n))})
+    assert texts[1] == expected
+    assert texts[1] != texts[0]
+
+
+def test_real_sweep_tie_shuffle_reorders_ties(dataset, tmp_path):
+    edges, colors = dataset
+    g, _ = load_graph(edges, colors)
+    texts = []
+    for tag, extra in (("plain", []), ("shuffled", ["--tie-shuffle", "4"])):
+        out = tmp_path / tag
+        assert run_cli("sweep", "--axis", "k", "--values", "1,2", "--edges", edges,
+                       "--colors", colors, "--out-dir", str(out), *extra) == 0
+        texts.append((out / "sweep.csv").read_text().strip().split("\n"))
+    grid = log_grid(g.n)
+    expected = []
+    for k in (1, 2):
+        scores = compute_ranking(g, "subspace", ExperimentConfig(k=k)).scores
+        curve = minority_share_curve(rank_order(scores, 4), g.colors, grid)
+        expected += [f"k,{k},subspace,{x!r},{s!r},{curve.baseline!r}"
+                     for x, s in zip(grid.tolist(), curve.share.tolist())]
+    assert texts[1][1:] == expected
+    assert texts[1] != texts[0]
+
+
+def test_sweep_k_generates_each_replica_once(tmp_path, monkeypatch):
+    calls = []
+    original = fairank.experiments.generate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fairank.experiments, "generate", counting)
+    assert run_cli("sweep", "--axis", "k", "--values", "1,2,4", "--nodes", "40",
+                   "--outdeg", "2", "--reps", "2", "--grid-points", "8",
+                   "--threads", "1", "--out-dir", str(tmp_path)) == 0
+    assert len(calls) == 2
+
+
+def test_real_sweep_k_loads_the_files_once(dataset, tmp_path, monkeypatch):
+    edges, colors = dataset
+    calls = []
+    original = fairank.experiments.load_graph
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fairank.experiments, "load_graph", counting)
+    assert run_cli("sweep", "--axis", "k", "--values", "1,2,4", "--edges", edges,
+                   "--colors", colors, "--grid-points", "8",
+                   "--out-dir", str(tmp_path)) == 0
+    assert len(calls) == 1
 
 
 # -- config file and environment -------------------------------------------------------

@@ -46,13 +46,10 @@ def test_degrees_match_brute_force_random():
 
 def test_neighbor_lists_cover_edge_list():
     g = from_edge_list(EDGES, COLORS)
-    assert sorted(g.out_neighbors(0).tolist()) == [1, 1, 2]
-    assert sorted(g.in_neighbors(1).tolist()) == [0, 0, 2, 3]
-    assert g.out_neighbors(1).size == 0
-    rebuilt = sorted(
-        (u, v) for u in range(g.n) for v in g.out_neighbors(u).tolist()
-    )
-    assert rebuilt == sorted(EDGES)
+    assert sorted(g.dst[g.src == 0].tolist()) == [1, 1, 2]
+    assert sorted(g.src[g.dst == 1].tolist()) == [0, 0, 2, 3]
+    assert not np.any(g.src == 1)
+    assert sorted(zip(g.src.tolist(), g.dst.tolist())) == sorted(EDGES)
 
 
 def test_arrays_are_immutable():

@@ -60,6 +60,19 @@ def test_round_trip_with_labels(tmp_path, toy_files):
     }
 
 
+def test_hash_inside_label_round_trips(tmp_path):
+    g = from_edge_list([(0, 1), (1, 2), (2, 0)], [Color.R, Color.B, Color.B])
+    labels = ["a#b", "c", "d#"]
+    write_edge_list(tmp_path / "e.tsv", g, labels)
+    write_color_file(tmp_path / "c.tsv", g, labels)
+    with open(tmp_path / "e.tsv", "a", encoding="utf-8") as fh:
+        fh.write("# closing comment\nc\td#\t#trailing comment\n")
+    g2, labels2 = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert labels2 == labels
+    assert g2.src.tolist() == [0, 1, 2, 1]
+    assert g2.dst.tolist() == [1, 2, 0, 2]
+
+
 def test_node_mapping_file(tmp_path):
     write_node_mapping(tmp_path / "map.tsv", ["x", "y"])
     assert (tmp_path / "map.tsv").read_text() == "0\tx\n1\ty\n"
