@@ -81,6 +81,12 @@ _FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfi
 _FROM_FIELD = object()  # an _Option's default: its field's default, else None
 
 
+def _algos(flag) -> tuple:
+    """``--algos`` as given, else the ExperimentConfig default. The flag
+    defaults to None so that ``sweep --axis k`` can tell it was given."""
+    return _FIELD_DEFAULTS["algos"] if flag is None else tuple(flag)
+
+
 @dataclass(frozen=True)
 class _Option:
     """One command-line option, declared once.
@@ -159,7 +165,7 @@ _OPTIONS = (
     _Option("--colors", "rank real sweep", "color file (node<TAB>R|B)",
             field="color_file", required="real"),
     _Option("--algos", _CURVES, "algorithms to compare", type=list, field="algos",
-            to_field=tuple, choices=ALGORITHMS),
+            to_field=_algos, default=None, choices=ALGORITHMS),
     _Option("--algo", "rank", "algorithm to rank with", field="algos",
             to_field=lambda algo: (algo,), default="hits", choices=ALGORITHMS),
     _Option("--eta", _RANKING, "random-surfer damping", type=float, field="eta"),
@@ -380,6 +386,10 @@ def _cmd_sweep(args) -> int:
     if not raw:
         raise GraphError("--values is empty")
     if args.axis == "k":
+        if args.algos is not None and set(args.algos) != {"subspace"}:
+            sys.stderr.write("fairank sweep: error: --axis k ranks only subspace; "
+                             "drop --algos or give --algos subspace\n")
+            return EXIT_USAGE
         values = [int(v) for v in raw]
     else:
         values = [float(v) for v in raw]

@@ -294,42 +294,71 @@ def randomized_hits(
     return auth, hub
 
 
+def _orthonormal_rows(z: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the row space of the (b, n) block ``z``.
+
+    Cholesky-QR2: two passes of ``q = inv(L) @ q`` with ``L L^T = q q^T``;
+    the second restores the orthogonality the first loses to the Gram's
+    squared condition number. One b x b inverse and a matrix product beat a
+    triangular solve with n right-hand sides. Householder QR is used instead
+    on a block that is not numerically full rank: Cholesky fails, or the
+    first pass leaves a Gram (a non-finite one included) more than 1/2 from
+    the identity in Frobenius norm, which also keeps the result finite.
+    """
+    try:
+        q = np.linalg.inv(np.linalg.cholesky(z @ z.T)) @ z
+        gram = q @ q.T
+        if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
+            return np.linalg.inv(np.linalg.cholesky(gram)) @ q
+    except np.linalg.LinAlgError:
+        pass
+    return np.ascontiguousarray(np.linalg.qr(z.T)[0].T)
+
+
+def _sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal row blocks.
+
+    Projects ``cur`` onto the complement of ``prev`` (no cancellation for
+    tiny angles) and takes the square root of the top eigenvalue of the
+    k x k Gram of that residual, which equals its squared spectral norm.
+    """
+    resid = cur - (cur @ prev.T) @ prev
+    return float(np.sqrt(max(np.linalg.eigvalsh(resid @ resid.T)[-1], 0.0)))
+
+
 def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-10):
     """Leading Ritz pairs of A^T A by block subspace iteration.
 
-    Uses a (k + 2)-column block (clipped to n), a fixed internal seed for
-    the starting block, QR re-orthonormalization every sweep, and stops
-    when the largest principal angle (measured by its sine) between
-    successive leading-k subspaces drops below ``angle_tol``. Returns
-    (theta, U, iterations, converged, angle) with eigenvalue estimates
-    descending.
+    The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
+    array, so every matvec reads a contiguous row. It starts from a fixed
+    internal seed and is re-orthonormalized every sweep by Cholesky-QR2,
+    falling back to Householder QR on a rank-deficient block
+    (``_orthonormal_rows``). Iteration stops when the largest principal
+    angle (measured by its sine, from a k x k Gram) between successive
+    leading-k subspaces drops below ``angle_tol``. Returns
+    (theta, U, iterations, converged, angle): eigenvalue estimates
+    descending, and the Ritz vectors as the rows of U.
     """
     n = g.n
     b = min(k + 2, n)
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
-    q_block, _ = np.linalg.qr(rng.standard_normal((n, b)))
+    q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)
     theta = np.zeros(b)
-    ritz = q_block
+    ritz = q
     prev_k = None
     angle = np.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        z = np.empty_like(q_block)
-        for j in range(b):
-            z[:, j] = _backward(g, _forward(g, q_block[:, j]))
-        t_small = q_block.T @ z
+        z = np.stack([_backward(g, _forward(g, row)) for row in q])
+        t_small = q @ z.T
         t_small = 0.5 * (t_small + t_small.T)
         w, vecs = np.linalg.eigh(t_small)
         desc = np.argsort(w)[::-1]
         theta = np.maximum(w[desc], 0.0)
-        ritz = q_block @ vecs[:, desc]
+        ritz = vecs[:, desc].T @ q
         if prev_k is not None:
-            # sine of the largest principal angle between the successive
-            # leading-k subspaces, via projection onto the complement of the
-            # previous basis (no cancellation for tiny angles)
-            resid = ritz[:, :k] - prev_k @ (prev_k.T @ ritz[:, :k])
-            angle = float(np.linalg.norm(resid, 2))
+            angle = _sin_largest_angle(ritz[:k], prev_k)
             if angle < angle_tol:
                 converged = True
                 break
@@ -340,8 +369,8 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
                 if theta[k - 1] - theta[k] <= _DEGENERATE_GAP * max(theta[0], 1e-300):
                     converged = True
                     break
-        prev_k = ritz[:, :k]
-        q_block, _ = np.linalg.qr(z)
+        prev_k = ritz[:k]
+        q = _orthonormal_rows(z)
     return theta, ritz, it, converged, angle
 
 
@@ -381,7 +410,7 @@ def subspace_hits(
             top[-1] - theta[k] <= _DEGENERATE_GAP * theta[0]
         )
     f_weights = np.ones(k) if weight == "unit" else top**2
-    scores = (ritz[:, :k] ** 2) @ f_weights
+    scores = f_weights @ ritz[:k] ** 2
     return RankingResult(
         "subspace_hits", scores, rank_order(scores), it, converged,
         float(angle if np.isfinite(angle) else 0.0), degenerate,

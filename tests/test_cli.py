@@ -276,6 +276,18 @@ def test_sweep_k_axis(tmp_path):
     assert {r.split(",")[1] for r in rows[1:]} == {"1", "2"}
 
 
+def test_sweep_k_rejects_algos_other_than_subspace(tmp_path, capsys):
+    base = ["sweep", "--axis", "k", "--values", "1,2", "--nodes", "50",
+            "--outdeg", "2", "--reps", "1", "--grid-points", "8"]
+    out = tmp_path / "mixed"
+    assert run_cli(*base, "--algos", "subspace", "hits", "--out-dir", str(out)) == 1
+    assert "--axis k ranks only subspace" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    out = tmp_path / "subspace"
+    assert run_cli(*base, "--algos", "subspace", "--out-dir", str(out)) == 0
+    assert {r.split(",")[2] for r in (out / "sweep.csv").read_text().split()[1:]} == {"subspace"}
+
+
 def test_sweep_rho_requires_synthetic(dataset, tmp_path, capsys):
     edges, colors = dataset
     code = run_cli(

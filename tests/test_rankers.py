@@ -8,6 +8,8 @@ from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
     IterationControl,
+    _orthonormal_rows,
+    _sin_largest_angle,
     degree_rank,
     hits,
     hits_trace,
@@ -295,6 +297,92 @@ def test_subspace_argument_validation():
         subspace_hits(g, 3)
     with pytest.raises(ValueError, match="weight"):
         subspace_hits(g, 1, weight="cubic")
+
+
+def test_subspace_on_rank_deficient_graph_matches_dense_oracle():
+    # columns 7 and 8 repeat columns 5 and 6, so A^T A has numeric rank 3,
+    # below the k + 2 rows of the solver's block
+    edges = [(0, 5), (1, 5), (2, 5), (1, 6), (2, 6), (3, 6),
+             (0, 7), (1, 7), (2, 7), (1, 8), (2, 8), (3, 8), (0, 9), (3, 9)]
+    n = 10
+    g = _graph(edges, n)
+    w, _, _ = oracles.dense_authority_eig(edges, n)
+    assert w[2] > 0.1 and abs(w[3]) < 1e-12
+    res = subspace_hits(g, 3, "unit", ctrl=TIGHT)
+    assert np.max(np.abs(res.scores - oracles.dense_subspace_scores(edges, n, 3, "unit"))) < 1e-8
+    assert res.converged and not res.degenerate
+    # k = 4 reaches into the null space; lambda^2 weights make the scores
+    # independent of which null vector the solver picked
+    res = subspace_hits(g, 4, "lambda_sq")
+    expected = oracles.dense_subspace_scores(edges, n, 4, "lambda_sq")
+    assert np.max(np.abs(res.scores - expected)) < 1e-8 * np.max(expected)
+    assert res.degenerate
+
+
+@pytest.mark.parametrize("seed, sweeps, hits_iterations", [
+    (1, 105, 31), (2, 139, 69), (3, 61, 55), (11, 78, 53),
+])
+def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations):
+    # the counts Householder QR and an n x k SVD angle gave: a cheaper sweep
+    # must not change how many sweeps run
+    g, _ = generate(BpamParams(1000, 6, 0.3, 0.1), seed=seed)
+    assert subspace_hits(g, 6).iterations_used == sweeps
+    auth, hub = hits(g)
+    assert auth.iterations_used == hub.iterations_used == hits_iterations
+
+
+# -- eigen-solver building blocks -----------------------------------------------
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """Shapes of every Householder QR call made while the test runs."""
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+    return calls
+
+
+def test_orthonormal_rows_of_full_rank_block(qr_calls):
+    rng = np.random.default_rng(71)
+    # nearly collinear rows, condition number 1e6: one Cholesky-QR pass
+    # alone would lose about 1e-4 of orthogonality here
+    mix = np.linalg.qr(rng.standard_normal((8, 8)))[0] * np.logspace(0, -6, 8)
+    z = mix @ np.linalg.qr(rng.standard_normal((2000, 8)))[0].T
+    qr_calls.clear()
+    q = _orthonormal_rows(z)
+    assert qr_calls == []
+    assert np.max(np.abs(q @ q.T - np.eye(8))) < 1e-12
+    # same row space: projecting z onto the rows of q reproduces it
+    assert np.max(np.abs(z - (z @ q.T) @ q)) < 1e-12 * np.max(np.abs(z))
+
+
+def test_orthonormal_rows_fall_back_on_rank_deficient_block(qr_calls):
+    rng = np.random.default_rng(73)
+    z = rng.standard_normal((6, 300))
+    z[5] = z[0] - 2.0 * z[3]
+    q = _orthonormal_rows(z)
+    assert qr_calls == [(300, 6)]
+    assert np.all(np.isfinite(q))
+    assert np.max(np.abs(q @ q.T - np.eye(6))) < 1e-12
+    assert np.max(np.abs(z - (z @ q.T) @ q)) < 1e-12 * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("sine", [0.5, 1e-4, 1e-8, 1e-10])
+def test_gram_angle_matches_spectral_norm(sine):
+    rng = np.random.default_rng(int(-np.log10(sine)))
+    k, n = 6, 400
+    for _ in range(5):
+        basis = np.linalg.qr(rng.standard_normal((n, 2 * k)))[0].T
+        prev, away = basis[:k], basis[k:]
+        # tilt each row of prev towards the complement; the largest tilt is
+        # the largest principal angle
+        sines = sine * rng.uniform(0.1, 1.0, k)
+        sines[rng.integers(k)] = sine
+        cur = np.sqrt(1.0 - sines**2)[:, None] * prev + sines[:, None] * away
+        cur = np.linalg.qr(rng.standard_normal((k, k)))[0] @ cur  # another basis
+        spectral = np.linalg.norm(cur - (cur @ prev.T) @ prev, 2)
+        assert _sin_largest_angle(cur, prev) == pytest.approx(spectral, rel=1e-6)
+        assert _sin_largest_angle(cur, prev) == pytest.approx(sine, rel=1e-4)
 
 
 def test_iteration_control_validation():
