@@ -9,6 +9,7 @@ to dense ids in color-file order and the mapping can be written back out.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterable, Sequence
 
@@ -88,15 +89,17 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     raw_edges = read_edge_list(edge_path)
     if not raw_edges:
         raise GraphError(f"{edge_path}: no edge records")
-    edges = np.empty((len(raw_edges), 2), dtype=np.int64)
-    for row, (a, b) in enumerate(raw_edges):
-        try:
-            edges[row, 0] = index[a]
-            edges[row, 1] = index[b]
-        except KeyError as exc:
-            raise GraphError(
-                f"{edge_path}: node {exc.args[0]!r} has no entry in {os.fspath(color_path)}"
-            ) from None
+    try:
+        ids = np.fromiter(
+            map(index.__getitem__, itertools.chain.from_iterable(raw_edges)),
+            np.int64,
+            count=2 * len(raw_edges),
+        )
+    except KeyError as exc:
+        raise GraphError(
+            f"{edge_path}: node {exc.args[0]!r} has no entry in {os.fspath(color_path)}"
+        ) from None
+    edges = ids.reshape(-1, 2)
 
     color_arr = np.fromiter((int(color_map[l]) for l in labels), dtype=np.uint8)
     return from_edge_list(edges, color_arr), labels

@@ -46,6 +46,11 @@ _PROBE_ANGLE_TOL = 1e-6
 # accepted as settled (tighter precision is unattainable there)
 _STALL_ANGLE_TOL = 1e-8
 
+# highest Chebyshev degree of one filtered subspace sweep, and the largest
+# amplification of the top Ritz value over the damped interval it may give
+_FILTER_DEGREE = 4
+_FILTER_MAX_GAIN = 1e6
+
 
 @dataclass(frozen=True)
 class IterationControl:
@@ -326,18 +331,81 @@ def _sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(resid @ resid.T)[-1], 0.0)))
 
 
+def _chebyshev_rows(
+    g: ColoredDigraph, x: np.ndarray, ax: np.ndarray, bottom: float, degree: int
+) -> np.ndarray:
+    """T_m(L) applied to each row of ``x``, m = ``degree``, L = 2 A^T A / bottom - 1.
+
+    L sends the damped interval [0, bottom] onto [-1, 1], where T_m stays
+    within 1; above it T_m grows faster than any other polynomial of degree
+    m bounded by 1 there. ``ax`` must hold A^T A x and is overwritten. Each
+    step T_{j+1} = 2 L T_j - T_{j-1} runs one row at a time and writes over
+    T_{j-1}, so the recurrence needs one block beyond ``x`` and ``ax``, and
+    ``x`` is only read.
+    """
+    s = 2.0 / bottom
+    prev, cur = x, ax
+    cur *= s
+    cur -= x
+    for _ in range(degree - 1):
+        nxt = np.empty_like(cur) if prev is x else prev
+        for i, row in enumerate(cur):
+            nxt[i] = 2.0 * (s * _backward(g, _forward(g, row)) - row) - prev[i]
+        prev, cur = cur, nxt
+    return cur
+
+
+def _filter_degree(top: float, bottom: float) -> int:
+    """Largest degree m <= _FILTER_DEGREE with T_m(2 top / bottom - 1) <= _FILTER_MAX_GAIN.
+
+    The gain is how far the filter lifts the top Ritz value over the damped
+    interval. Beyond the cap the lower rows drown in the leading direction
+    before they are re-orthonormalized; a spectrum that wide gets degree 1,
+    the plain sweep.
+    """
+    if not bottom * _FILTER_MAX_GAIN > top:
+        return 1
+    x = 2.0 * top / bottom - 1.0
+    t_prev, t, degree = 1.0, x, 1
+    while degree < _FILTER_DEGREE:
+        t_prev, t = t, 2.0 * x * t - t_prev
+        if t > _FILTER_MAX_GAIN:
+            break
+        degree += 1
+    return degree
+
+
 def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-10):
-    """Leading Ritz pairs of A^T A by block subspace iteration.
+    """Leading Ritz pairs of A^T A by Chebyshev-filtered block subspace iteration.
 
     The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
     array, so every matvec reads a contiguous row. It starts from a fixed
-    internal seed and is re-orthonormalized every sweep by Cholesky-QR2,
-    falling back to Householder QR on a rank-deficient block
-    (``_orthonormal_rows``). Iteration stops when the largest principal
-    angle (measured by its sine, from a k x k Gram) between successive
-    leading-k subspaces drops below ``angle_tol``. Returns
-    (theta, U, iterations, converged, angle): eigenvalue estimates
-    descending, and the Ritz vectors as the rows of U.
+    internal seed. Each sweep multiplies the block by A^T A once and takes
+    the Ritz pairs. The next block is the Ritz rows passed through a
+    Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
+    [0, theta_b], theta_b the smallest Ritz value; its first term is the
+    product already taken, so a sweep costs m block products. The filtered
+    rows are normalized, rotated back to the block's basis and
+    re-orthonormalized by Cholesky-QR2, falling back to Householder QR on a
+    rank-deficient block (``_orthonormal_rows``).
+
+    The sweep is plain (m = 1, the next block is ``orth(A^T A q)``) on
+    sweep 1, so that every later block lies in the range of A^T A and nodes
+    with identical in-neighbour columns keep bitwise-equal entries; while
+    theta_k and theta_{k+1} are tied, where the stall rule must see plain
+    sweeps; after a sweep whose leading-k subspace settled with the
+    boundary gap still unresolved (see below); and where the spectrum is
+    too wide for the gain cap (``_filter_degree``).
+
+    Iteration stops when the largest principal angle (measured by its sine,
+    from a k x k Gram) between successive leading-k subspaces drops below
+    ``angle_tol`` and theta_k - theta_{k+1} exceeds the tie tolerance plus
+    the residual norm of the (k+1)-th Ritz pair. The filter barely lifts
+    rows near theta_b, so without the residual test theta_{k+1} could still
+    sit below an eigenvalue tied with theta_k and the tie would go
+    unflagged. Returns (theta, U, iterations, converged, angle): eigenvalue
+    estimates descending, the Ritz vectors as the rows of U, and the number
+    of sweeps.
     """
     n = g.n
     b = min(k + 2, n)
@@ -350,27 +418,48 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        z = np.stack([_backward(g, _forward(g, row)) for row in q])
+        z = np.empty_like(q)
+        for i, row in enumerate(q):
+            z[i] = _backward(g, _forward(g, row))
         t_small = q @ z.T
         t_small = 0.5 * (t_small + t_small.T)
         w, vecs = np.linalg.eigh(t_small)
         desc = np.argsort(w)[::-1]
         theta = np.maximum(w[desc], 0.0)
-        ritz = vecs[:, desc].T @ q
+        rot = vecs[:, desc].T
+        ritz = rot @ q
+        del q  # the next block comes from z and the Ritz rows alone
+        gap = theta[k - 1] - theta[k] if k < b else np.inf
+        tie_tol = _DEGENERATE_GAP * max(theta[0], 1e-300)
+        tied = bool(gap <= tie_tol)
         if prev_k is not None:
             angle = _sin_largest_angle(ritz[:k], prev_k)
-            if angle < angle_tol:
+            if angle < angle_tol and (
+                k == b or gap > tie_tol + np.linalg.norm(rot[k] @ z - theta[k] * ritz[k])
+            ):
                 converged = True
                 break
-            if angle < _STALL_ANGLE_TOL and k < b:
+            if angle < _STALL_ANGLE_TOL and tied:
                 # the boundary eigenvalues are numerically tied: the leading-k
                 # subspace is only defined up to rotations across the gap, so
                 # further sweeps cannot sharpen it
-                if theta[k - 1] - theta[k] <= _DEGENERATE_GAP * max(theta[0], 1e-300):
-                    converged = True
-                    break
+                converged = True
+                break
         prev_k = ritz[:k]
-        q = _orthonormal_rows(z)
+        if it == 1 or tied or angle < angle_tol:
+            degree = 1
+        else:
+            degree = _filter_degree(float(theta[0]), float(theta[-1]))
+        if degree == 1:
+            q = _orthonormal_rows(z)
+        else:
+            az = rot @ z
+            del z  # with q gone too, the filter holds no more blocks than a plain sweep
+            f = _chebyshev_rows(g, ritz, az, float(theta[-1]), degree)
+            del az
+            f /= np.sqrt(np.einsum("ij,ij->i", f, f))[:, None]
+            f = rot.T @ f
+            q = _orthonormal_rows(f)
     return theta, ritz, it, converged, angle
 
 

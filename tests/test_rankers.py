@@ -1,5 +1,8 @@
 """Ranking algorithm tests against dense linear-algebra oracles."""
 
+import hashlib
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -299,11 +302,16 @@ def test_subspace_argument_validation():
         subspace_hits(g, 1, weight="cubic")
 
 
+# columns 7 and 8 repeat columns 5 and 6, so A^T A has numeric rank 3,
+# below the k + 2 rows of the solver's block when k >= 2
+RANK_DEFICIENT_EDGES = [
+    (0, 5), (1, 5), (2, 5), (1, 6), (2, 6), (3, 6),
+    (0, 7), (1, 7), (2, 7), (1, 8), (2, 8), (3, 8), (0, 9), (3, 9),
+]
+
+
 def test_subspace_on_rank_deficient_graph_matches_dense_oracle():
-    # columns 7 and 8 repeat columns 5 and 6, so A^T A has numeric rank 3,
-    # below the k + 2 rows of the solver's block
-    edges = [(0, 5), (1, 5), (2, 5), (1, 6), (2, 6), (3, 6),
-             (0, 7), (1, 7), (2, 7), (1, 8), (2, 8), (3, 8), (0, 9), (3, 9)]
+    edges = RANK_DEFICIENT_EDGES
     n = 10
     g = _graph(edges, n)
     w, _, _ = oracles.dense_authority_eig(edges, n)
@@ -319,16 +327,112 @@ def test_subspace_on_rank_deficient_graph_matches_dense_oracle():
     assert res.degenerate
 
 
+def _bpam_1000(seed):
+    g, _ = generate(BpamParams(1000, 6, 0.3, 0.1), seed=seed)
+    return g
+
+
+# SHA-256 of subspace_hits(g, 6).order.tobytes(), taken from the plain
+# (unfiltered) subspace iteration
+ORDER_SHA256 = {
+    1: "9c565ca2278c5ac4bb0762bc152a8f8ed262704b4403d2faafbf80c16e661636",
+    2: "f3c5b5cb5ee0345501cebfc7af176f32b54e50cfe74e9327dd39c782725c9717",
+    3: "5bde36a02bc65bd2e94740e30969f60dfb430e5efe07165e4bf41672e6037c2e",
+    11: "d44772603b1b07c00b7ccadcf76ae74ea91a827caa6406dd5b0d0235cf28713b",
+}
+
+
 @pytest.mark.parametrize("seed, sweeps, hits_iterations", [
-    (1, 105, 31), (2, 139, 69), (3, 61, 55), (11, 78, 53),
+    (1, 12, 31), (2, 14, 69), (3, 12, 55), (11, 11, 53),
 ])
 def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations):
-    # the counts Householder QR and an n x k SVD angle gave: a cheaper sweep
-    # must not change how many sweeps run
-    g, _ = generate(BpamParams(1000, 6, 0.3, 0.1), seed=seed)
-    assert subspace_hits(g, 6).iterations_used == sweeps
+    # the sweep counts of the Chebyshev-filtered solver (plain subspace
+    # iteration took 105/139/61/78): a change that weakens the filter or
+    # lowers its degree shows here, and the order digests show any node the
+    # filter moves
+    g = _bpam_1000(seed)
+    res = subspace_hits(g, 6)
+    assert res.iterations_used == sweeps
+    assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[seed]
     auth, hub = hits(g)
     assert auth.iterations_used == hub.iterations_used == hits_iterations
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_subspace_matches_dense_eigensolve_at_n1000(seed):
+    g = _bpam_1000(seed)
+    edges = list(zip(g.src.tolist(), g.dst.tolist()))
+    expected = oracles.dense_subspace_scores(edges, g.n, 6, "unit")
+    assert np.max(np.abs(subspace_hits(g, 6).scores - expected)) <= 1e-11
+
+
+def _in_neighbour_twins(g):
+    """Groups of two or more nodes with the same non-empty sorted in-neighbour tuple."""
+    in_nbrs = defaultdict(list)
+    for u, v in zip(g.src.tolist(), g.dst.tolist()):
+        in_nbrs[v].append(u)
+    groups = defaultdict(list)
+    for v, us in in_nbrs.items():
+        groups[tuple(sorted(us))].append(v)
+    return [nodes for nodes in groups.values() if len(nodes) > 1]
+
+
+@pytest.mark.parametrize("graph", ["rank_deficient", "bpam_seed_1"])
+def test_subspace_scores_of_twin_columns_are_bitwise_equal(graph):
+    # equal columns of A give equal entries in every vector of the range of
+    # A^T A; the solver must keep such ties exact, not merely close, or the
+    # id tie-break (and --tie-shuffle) stops seeing them
+    if graph == "rank_deficient":
+        g = _graph(RANK_DEFICIENT_EDGES, 10)
+    else:
+        g = _bpam_1000(1)
+    twins = _in_neighbour_twins(g)
+    assert twins
+    for k in (1, 2, 3, 4):
+        scores = subspace_hits(g, k).scores
+        for nodes in twins:
+            assert np.all(scores[nodes] == scores[nodes[0]]), (k, nodes)
+
+
+STRESS = IterationControl(1e-10, 20000)
+
+
+@pytest.mark.parametrize("k, weight, parent_sweeps", [(2, "unit", 26), (4, "lambda_sq", 119)])
+def test_subspace_converges_on_a_wide_spectrum(k, weight, parent_sweeps):
+    # a 10000-fold edge makes the top eigenvalue 1e8 times the rest, far
+    # beyond the filter's gain cap: the solver must still converge, and in
+    # no more sweeps than plain subspace iteration took
+    edges = [(0, 1)] * 10000 + [(2, 3), (3, 2), (4, 5), (5, 6), (6, 4), (2, 5)]
+    w, _, _ = oracles.dense_authority_eig(edges, 7)
+    assert w[0] / w[1] > 1e7
+    res = subspace_hits(_graph(edges, 7), k, weight, ctrl=STRESS)
+    expected = oracles.dense_subspace_scores(edges, 7, k, weight)
+    assert res.converged
+    assert res.iterations_used <= parent_sweeps
+    assert np.max(np.abs(res.scores - expected)) < 1e-8 * max(np.max(expected), 1.0)
+
+
+def test_subspace_stalls_on_a_fully_tied_spectrum():
+    # on a path every nonzero eigenvalue of A^T A is 1: only the stall rule,
+    # which needs plain sweeps, can end the iteration
+    res = subspace_hits(_graph([(i, i + 1) for i in range(30)], 31), 2, ctrl=STRESS)
+    assert res.converged and res.degenerate
+    assert res.iterations_used <= 21
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_subspace_flags_a_tie_the_filter_hides_below_the_boundary(k):
+    # eigenvalues 144, 5.24, 2, 2, 2, 2, 1, ...: the 4-fold 2 spans both
+    # boundaries. Filtered sweeps settle the leading k rows while the
+    # (k+1)-th Ritz value still sits ~1e-3 below 2, so only the residual
+    # test at convergence keeps the tie from going unflagged
+    edges = [(0, 1)] * 12 + [
+        (3, 9), (4, 9), (4, 10), (4, 11), (5, 16), (7, 8), (9, 15), (12, 16),
+        (13, 3), (13, 5), (14, 10), (14, 11), (14, 13), (15, 13), (16, 15),
+    ]
+    w, _, _ = oracles.dense_authority_eig(edges, 18)
+    assert np.allclose(w[2:6], 2.0) and w[6] < 1.5
+    assert subspace_hits(_graph(edges, 18), k).degenerate
 
 
 # -- eigen-solver building blocks -----------------------------------------------
