@@ -385,9 +385,10 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
     Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
     [0, theta_b], theta_b the smallest Ritz value; its first term is the
     product already taken, so a sweep costs m block products. The filtered
-    rows are normalized, rotated back to the block's basis and
-    re-orthonormalized by Cholesky-QR2, falling back to Householder QR on a
-    rank-deficient block (``_orthonormal_rows``).
+    rows are normalized and re-orthonormalized by Cholesky-QR2, falling
+    back to Householder QR on a rank-deficient block
+    (``_orthonormal_rows``); the next Rayleigh-Ritz step does not depend on
+    which basis of the filtered span it gets.
 
     The sweep is plain (m = 1, the next block is ``orth(A^T A q)``) on
     sweep 1, so that every later block lies in the range of A^T A and nodes
@@ -399,13 +400,17 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
 
     Iteration stops when the largest principal angle (measured by its sine,
     from a k x k Gram) between successive leading-k subspaces drops below
-    ``angle_tol`` and theta_k - theta_{k+1} exceeds the tie tolerance plus
-    the residual norm of the (k+1)-th Ritz pair. The filter barely lifts
-    rows near theta_b, so without the residual test theta_{k+1} could still
-    sit below an eigenvalue tied with theta_k and the tie would go
-    unflagged. Returns (theta, U, iterations, converged, angle): eigenvalue
-    estimates descending, the Ritz vectors as the rows of U, and the number
-    of sweeps.
+    ``angle_tol`` and the boundary gap theta_k - theta_{k+1} is resolved:
+    it exceeds the tie tolerance plus the residual norm r of the (k+1)-th
+    Ritz pair, or r is below ``angle_tol * theta_1``. The filter barely
+    lifts rows near theta_b, so without the residual test theta_{k+1}
+    could still sit below an eigenvalue tied with theta_k and the tie would
+    go unflagged. On a tied boundary the gap check flags the tie, and the
+    stall rule stops iteration once the leading-k subspace, or the span of
+    the rows down to the last one tied with theta_k, moves by less than
+    max(``angle_tol``, 1e-8). Returns (theta, U, iterations, converged,
+    angle): eigenvalue estimates descending, the Ritz vectors as the rows
+    of U, and the number of sweeps.
     """
     n = g.n
     b = min(k + 2, n)
@@ -413,7 +418,7 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
     q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)
     theta = np.zeros(b)
     ritz = q
-    prev_k = None
+    prev = None
     angle = np.inf
     converged = False
     it = 0
@@ -432,20 +437,25 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
         gap = theta[k - 1] - theta[k] if k < b else np.inf
         tie_tol = _DEGENERATE_GAP * max(theta[0], 1e-300)
         tied = bool(gap <= tie_tol)
-        if prev_k is not None:
-            angle = _sin_largest_angle(ritz[:k], prev_k)
-            if angle < angle_tol and (
-                k == b or gap > tie_tol + np.linalg.norm(rot[k] @ z - theta[k] * ritz[k])
-            ):
-                converged = True
-                break
-            if angle < _STALL_ANGLE_TOL and tied:
+        if prev is not None:
+            angle = _sin_largest_angle(ritz[:k], prev[:k])
+            if tied:
                 # the boundary eigenvalues are numerically tied: the leading-k
                 # subspace is only defined up to rotations across the gap, so
-                # further sweeps cannot sharpen it
-                converged = True
-                break
-        prev_k = ritz[:k]
+                # further sweeps cannot sharpen it. Once a tied cluster is
+                # exact, eigh rotates freely within it and only the span down
+                # to its last row in the block still settles
+                settle_tol = max(angle_tol, _STALL_ANGLE_TOL)
+                m = int(np.count_nonzero(theta >= theta[k - 1] - tie_tol))
+                if angle < settle_tol or _sin_largest_angle(ritz[:m], prev[:m]) < settle_tol:
+                    converged = True
+                    break
+            elif angle < angle_tol:
+                resid = np.linalg.norm(rot[k] @ z - theta[k] * ritz[k]) if k < b else 0.0
+                if gap > tie_tol + resid or resid < angle_tol * theta[0]:
+                    converged = True
+                    break
+        prev = ritz
         if it == 1 or tied or angle < angle_tol:
             degree = 1
         else:
@@ -458,7 +468,6 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
             f = _chebyshev_rows(g, ritz, az, float(theta[-1]), degree)
             del az
             f /= np.sqrt(np.einsum("ij,ij->i", f, f))[:, None]
-            f = rot.T @ f
             q = _orthonormal_rows(f)
     return theta, ritz, it, converged, angle
 

@@ -10,9 +10,12 @@ import oracles
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
+    _PROBE_ANGLE_TOL,
     IterationControl,
     _orthonormal_rows,
+    _ritz_topk,
     _sin_largest_angle,
+    _top_gap_degenerate,
     degree_rank,
     hits,
     hits_trace,
@@ -420,19 +423,88 @@ def test_subspace_stalls_on_a_fully_tied_spectrum():
     assert res.iterations_used <= 21
 
 
-@pytest.mark.parametrize("k", [3, 4])
+# eigenvalues of A^T A: 144, 5.24, 2, 2, 2, 2, 1, ...
+HIDDEN_TIE_EDGES = [(0, 1)] * 12 + [
+    (3, 9), (4, 9), (4, 10), (4, 11), (5, 16), (7, 8), (9, 15), (12, 16),
+    (13, 3), (13, 5), (14, 10), (14, 11), (14, 13), (15, 13), (16, 15),
+]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
 def test_subspace_flags_a_tie_the_filter_hides_below_the_boundary(k):
-    # eigenvalues 144, 5.24, 2, 2, 2, 2, 1, ...: the 4-fold 2 spans both
-    # boundaries. Filtered sweeps settle the leading k rows while the
-    # (k+1)-th Ritz value still sits ~1e-3 below 2, so only the residual
-    # test at convergence keeps the tie from going unflagged
-    edges = [(0, 1)] * 12 + [
-        (3, 9), (4, 9), (4, 10), (4, 11), (5, 16), (7, 8), (9, 15), (12, 16),
-        (13, 3), (13, 5), (14, 10), (14, 11), (14, 13), (15, 13), (16, 15),
-    ]
-    w, _, _ = oracles.dense_authority_eig(edges, 18)
+    # the 4-fold 2 spans the boundary at k = 3, 4 and 5. At k = 3, 4 filtered
+    # sweeps settle the leading k rows while the (k+1)-th Ritz value still
+    # sits ~1e-3 below 2, so only the residual test at convergence keeps the
+    # tie from going unflagged. At k = 5 the filter makes the cluster inside
+    # the block exact, eigh then rotates freely within it, and only the
+    # settling span down to the cluster's last row ends the iteration.
+    # Plain subspace iteration ran out of sweeps at k = 3, 4 and took 13 at 5
+    w, _, _ = oracles.dense_authority_eig(HIDDEN_TIE_EDGES, 18)
     assert np.allclose(w[2:6], 2.0) and w[6] < 1.5
-    assert subspace_hits(_graph(edges, 18), k).degenerate
+    res = subspace_hits(_graph(HIDDEN_TIE_EDGES, 18), k)
+    assert res.converged and res.degenerate
+    assert res.iterations_used <= {3: 13, 4: 13, 5: 16}[k]
+
+
+@pytest.mark.parametrize("graph, k, sweeps", [
+    ("path", 2, 21), ("path", 5, 3),
+    ("hidden_tie", 3, 12), ("hidden_tie", 4, 11), ("hidden_tie", 5, 10),
+])
+def test_subspace_stops_on_a_tied_boundary_at_a_loose_tolerance(graph, k, sweeps):
+    # on a tied boundary an angle below a loose tol stops the iteration, as
+    # it did in plain subspace iteration, which took 21 sweeps (path, k = 2),
+    # did not converge (path, k = 5), took 12, 10, 10 sweeps (hidden tie) and
+    # left k = 5 unflagged. The hidden tie at k = 4 takes one sweep more: the
+    # residual test holds the settled subspace until the tie shows in the gap
+    if graph == "path":
+        g = _graph([(i, i + 1) for i in range(30)], 31)
+    else:
+        g = _graph(HIDDEN_TIE_EDGES, 18)
+    res = subspace_hits(g, k, ctrl=IterationControl(1e-6, 1000))
+    assert res.converged and res.degenerate
+    assert res.iterations_used <= sweeps
+
+
+def _in_edges(target, sources, mults):
+    return [(s, target) for s, c in zip(sources, mults) for _ in range(c)]
+
+
+@pytest.mark.parametrize("k, tol, sweeps", [(2, 1e-10, 7), (3, 1e-10, 6), (2, 1e-6, 5), (3, 1e-6, 5)])
+def test_subspace_stops_on_a_gap_just_above_the_tie_tolerance(k, tol, sweeps):
+    # eigenvalues of A^T A: 1e10 - 1, 300, 200, 100, 2.62, 0.38, 0, ...
+    # The gaps at k = 2, 3 are 100, only 1e-8 above the tie tolerance
+    # 1e-8 * theta_1, so a settled subspace must not wait for the (k+1)-th
+    # residual to fall below 1e-8. Plain subspace iteration took 7, 6, 5, 5
+    # sweeps here
+    edges = (
+        _in_edges(5, range(5), (99999, 447, 13, 4, 2))
+        + _in_edges(9, (6, 7, 8), (10, 10, 10))
+        + _in_edges(12, (10, 11), (10, 10))
+        + _in_edges(14, (13,), (10,))
+        + [(15, 16), (15, 17), (18, 17)]
+    )
+    res = subspace_hits(_graph(edges, 19), k, ctrl=IterationControl(tol, 1000))
+    assert res.converged and not res.degenerate
+    assert res.iterations_used <= sweeps
+
+
+@pytest.mark.parametrize("graph, degenerate, sweeps", [
+    ("cycle", True, 8), ("path", True, 21), ("star_pair", True, 3), ("twin_pairs", False, 60),
+])
+def test_degeneracy_probe_settles_on_tied_spectra(graph, degenerate, sweeps):
+    # the probe runs the solver at k = 2 with a loose tol and a 60-sweep cap.
+    # Plain subspace iteration took 8, 21, 3 and 60 sweeps here and did not
+    # converge on twin_pairs, whose exact 3-fold 1 fills the rest of the block
+    edges, n = {
+        "cycle": ([(i, (i + 1) % 5) for i in range(5)], 5),
+        "path": ([(i, i + 1) for i in range(30)], 31),
+        "star_pair": ([(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 12)], 12),
+        "twin_pairs": ([(0, 1), (2, 3), (4, 5), (6, 7), (6, 8)], 9),
+    }[graph]
+    g = _graph(edges, n)
+    _, _, it, converged, _ = _ritz_topk(g, 2, 60, _PROBE_ANGLE_TOL)
+    assert converged and it <= sweeps
+    assert _top_gap_degenerate(g) == degenerate
 
 
 # -- eigen-solver building blocks -----------------------------------------------
