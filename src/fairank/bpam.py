@@ -28,6 +28,12 @@ MAX_CONSECUTIVE_REJECTIONS = 10_000_000
 _UNIFORM_BLOCK = 8192
 
 
+def _uniforms(rng: np.random.Generator):
+    """The generator's one stream of uniforms, drawn from ``rng`` in blocks."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
 @dataclass(frozen=True)
 class BpamParams:
     """Generator parameters.
@@ -104,57 +110,33 @@ def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationS
     n, d = params.n_nodes, params.outdeg
     r, rho = params.minority_ratio, params.homophily
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    buf = rng.random(_UNIFORM_BLOCK)
-    pos = 0
+    draw = _uniforms(np.random.Generator(np.random.PCG64(seed))).__next__
 
-    colors = np.empty(n, dtype=np.uint8)
-    colors[0] = Color.R
-    colors[1] = Color.B
-    color_list = [int(Color.R), int(Color.B)]
+    colors = [int(Color.R), int(Color.B)]
 
-    n_edges = 1 + (n - 2) * d
-    src = np.empty(n_edges, dtype=np.int64)
-    dst = np.empty(n_edges, dtype=np.int64)
-    src[0], dst[0] = 0, 1
-
-    # every node once per unit of total degree: a uniform index into the
-    # list is a degree-proportional draw
+    # the edges as (source, target) in arrival order; it also holds every
+    # node once per unit of total degree, so a uniform index into it is a
+    # degree-proportional draw
     ep = [0, 1]
-    ep_append = ep.append
 
     rejections = 0
-    edge_at = 1
 
     for u in range(2, n):
-        if pos >= _UNIFORM_BLOCK:
-            buf = rng.random(_UNIFORM_BLOCK)
-            pos = 0
-        cu = int(Color.R) if buf[pos] < r else int(Color.B)
-        pos += 1
-        colors[u] = cu
-        color_list.append(cu)
+        cu = int(Color.R) if draw() < r else int(Color.B)
+        colors.append(cu)
 
         for _ in range(d):
             streak = 0
             while True:
-                if pos >= _UNIFORM_BLOCK:
-                    buf = rng.random(_UNIFORM_BLOCK)
-                    pos = 0
-                slot = int(buf[pos] * len(ep))
+                slot = int(draw() * len(ep))
                 v = ep[slot] if slot < len(ep) else ep[-1]
-                pos += 1
                 if v == u:
                     # the arrival already holds accepted endpoints; skip
                     # rather than create a self-loop
                     streak += 1
-                elif color_list[v] != cu:
-                    if pos >= _UNIFORM_BLOCK:
-                        buf = rng.random(_UNIFORM_BLOCK)
-                        pos = 0
-                    keep = buf[pos] < rho
-                    pos += 1
-                    if keep:
+                elif colors[v] != cu:
+                    # drawn even at rho = 0, which keeps the stream's order
+                    if draw() < rho:
                         break
                     rejections += 1
                     streak += 1
@@ -165,20 +147,15 @@ def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationS
                         "edge draw exceeded the rejection cap; "
                         "homophily filter cannot be satisfied"
                     )
-            src[edge_at] = u
-            dst[edge_at] = v
-            edge_at += 1
-            ep_append(u)
-            ep_append(v)
+            ep += (u, v)
 
-    graph = from_edge_list(np.stack([src, dst], axis=1), colors)
+    graph = from_edge_list(np.array(ep, dtype=np.int64).reshape(-1, 2), colors)
     red = graph.is_red()
-    red_degree = int(graph.indeg[red].sum() + graph.outdeg[red].sum())
-    stats = GenerationStats(
-        alpha_hat=red_degree / (2.0 * n * d),
+    n_red = int(np.count_nonzero(red))
+    return graph, GenerationStats(
+        alpha_hat=int(graph.degrees()[red].sum()) / (2.0 * n * d),
         rejection_count=rejections,
-        n_red=int(np.count_nonzero(red)),
-        n_blue=n - int(np.count_nonzero(red)),
+        n_red=n_red,
+        n_blue=n - n_red,
         seed=int(seed),
     )
-    return graph, stats

@@ -151,15 +151,17 @@ _OPTIONS = (
     _Option("--strict", _RANKING,
             "exit with status 3 when any iterative ranker fails to converge",
             type=bool),
-    _Option("--nodes", _BPAM, "node count N", type=int, field="n_nodes"),
-    _Option("--outdeg", _BPAM, "edges per arriving node", type=int, field="outdeg"),
+    _Option("--nodes", _BPAM, "node count N", type=int, field="n_nodes", default=None),
+    _Option("--outdeg", _BPAM, "edges per arriving node", type=int, field="outdeg",
+            default=None),
     _Option("--minority-ratio", _BPAM, "red arrival probability", type=float,
-            field="minority_ratio"),
+            field="minority_ratio", default=None),
     _Option("--homophily", _BPAM, "cross-color acceptance probability", type=float,
-            field="homophily"),
+            field="homophily", default=None),
     _Option("--seed", _BPAM, "base seed; replica i uses seed + i", type=int,
             field="base_seed"),
-    _Option("--reps", "generate curve sweep", "replica count", type=int, field="reps"),
+    _Option("--reps", "generate curve sweep", "replica count", type=int, field="reps",
+            default=None),
     _Option("--edges", "rank real sweep", "edge list file (src<TAB>dst)",
             field="edge_file", required="real"),
     _Option("--colors", "rank real sweep", "color file (node<TAB>R|B)",
@@ -192,6 +194,12 @@ _OPTIONS = (
     _Option("--values", "sweep", "comma-separated axis values, e.g. 0.1,0.3,0.5",
             required="sweep"),
 )
+
+
+# options that only shape generated graphs: a graph read from --edges and
+# --colors has none of them to set, so they are rejected there. They parse
+# to None when not given, and the field default then holds
+_GENERATED_ONLY = ("--nodes", "--outdeg", "--minority-ratio", "--homophily", "--reps")
 
 
 def _options_of(command: str) -> list[_Option]:
@@ -282,14 +290,17 @@ def _split_argv(argv: list[str]):
 # -- subcommand implementations ---------------------------------------------
 
 def _config(args, **fixed) -> ExperimentConfig:
-    """ExperimentConfig from the options the subcommand took; fields it
-    does not take keep their defaults unless ``fixed`` sets them."""
+    """ExperimentConfig from the options the subcommand took; a field whose
+    option it does not take, or that parsed to None, keeps its default
+    unless ``fixed`` sets it."""
     values = vars(args)
     fields = dict(fixed)
     for opt in _options_of(args.command):
-        if opt.field is not None:
-            value = values[opt.dest]
-            fields[opt.field] = value if opt.to_field is None else opt.to_field(value)
+        value = values[opt.dest]
+        if opt.to_field is not None:
+            fields[opt.field] = opt.to_field(value)
+        elif opt.field is not None and value is not None:
+            fields[opt.field] = value
     return ExperimentConfig(**fields)
 
 
@@ -423,6 +434,12 @@ def main(argv=None) -> int:
     except GraphError as exc:
         parser.error(str(exc))
     args = parser.parse_args(injected + rest)
+    values = vars(args)
+    if values.get("edges") is not None or values.get("colors") is not None:
+        unused = [opt.flag for opt in _options_of(command)
+                  if opt.flag in _GENERATED_ONLY and values[opt.dest] is not None]
+        if unused:
+            parser.error(f"not used with --edges/--colors: {' '.join(unused)}")
     try:
         return _COMMANDS[command][0](args)
     except (GraphError, ValueError, ArithmeticError, OSError) as exc:

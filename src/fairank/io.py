@@ -96,8 +96,13 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
             count=2 * len(raw_edges),
         )
     except KeyError as exc:
+        # the line is looked up only here, off the fast path; a stream that
+        # cannot be read twice (a pipe) leaves the bare path
+        label = exc.args[0]
+        where = next((f"{edge_path}:{no}" for no, fields in _records(edge_path)
+                      if label in (field.strip() for field in fields)), edge_path)
         raise GraphError(
-            f"{edge_path}: node {exc.args[0]!r} has no entry in {os.fspath(color_path)}"
+            f"{where}: node {label!r} has no entry in {os.fspath(color_path)}"
         ) from None
     edges = ids.reshape(-1, 2)
 

@@ -73,6 +73,22 @@ class IterationControl:
 _DEFAULT_CTRL = IterationControl()
 
 
+def _fixed_point(step, x, it, ctrl: IterationControl):
+    """Iterate ``x = step(x)`` under the stopping rule of ``ctrl``.
+
+    ``it`` counts the sweeps already spent on the starting ``x``. Returns
+    (x, iterations, converged, residual); residual is the L1 change of the
+    last sweep, inf if none ran.
+    """
+    residual = np.inf
+    while it < ctrl.max_iter and not residual < ctrl.tol:
+        it += 1
+        x_new = step(x)
+        residual = float(np.abs(x_new - x).sum())
+        x = x_new
+    return x, it, residual < ctrl.tol, residual
+
+
 @dataclass(frozen=True)
 class RankingResult:
     """Scores plus the induced deterministic ranking.
@@ -144,31 +160,25 @@ def pagerank(
         raise ValueError("eta must lie in [0, 1)")
     n = g.n
     out = g.outdeg.astype(float)
-    has_out = out > 0
-    inv_out = np.zeros(n)
-    inv_out[has_out] = 1.0 / out[has_out]
-    dangling = ~has_out
-
-    x = np.full(n, 1.0 / n)
+    inv_out = np.divide(1.0, out, out=np.zeros(n), where=out > 0)
+    dangling = out == 0
     teleport = (1.0 - eta) / n
-    residual = np.inf
-    converged = False
-    it = 0
-    for it in range(1, ctrl.max_iter + 1):
+
+    def step(x):
         flow = _backward(g, x * inv_out)
         loose = x[dangling].sum() / n
         x_new = eta * (flow + loose) + teleport
         x_new /= x_new.sum()
-        residual = float(np.abs(x_new - x).sum())
-        x = x_new
-        if residual < ctrl.tol:
-            converged = True
-            break
+        return x_new
+
+    x, it, converged, residual = _fixed_point(step, np.full(n, 1.0 / n), 0, ctrl)
     return RankingResult("pagerank", x, rank_order(x), it, converged, residual)
 
 
-def _l2(x: np.ndarray) -> float:
-    return float(np.sqrt((x * x).sum()))
+def _unit(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled in place to unit L2 norm (left as is when zero)."""
+    x /= float(np.sqrt((x * x).sum())) or 1.0
+    return x
 
 
 def hits(
@@ -184,24 +194,17 @@ def hits(
     """
     if g.n_edges == 0:
         raise GraphError("hub/authority scores need at least one edge")
-    h = np.ones(g.n)
-    a_prev = None
-    residual = np.inf
-    converged = False
-    it = 0
-    for it in range(1, ctrl.max_iter + 1):
-        a = _backward(g, h)
-        a /= _l2(a) or 1.0
-        h = _forward(g, a)
-        h /= _l2(h) or 1.0
-        if a_prev is not None:
-            residual = float(np.abs(a - a_prev).sum())
-            if residual < ctrl.tol:
-                converged = True
-                a_prev = a
-                break
-        a_prev = a
-    a = a_prev
+
+    def hub_of(a):
+        return _unit(_forward(g, a))
+
+    def authority_of(h):
+        return _unit(_backward(g, h))
+
+    a, it, converged, residual = _fixed_point(
+        lambda a: authority_of(hub_of(a)), authority_of(np.ones(g.n)), 1, ctrl
+    )
+    h = hub_of(a)
     degenerate = _top_gap_degenerate(g)
     auth = RankingResult("hits_authority", a, rank_order(a), it, converged, residual, degenerate)
     hub = RankingResult("hits_hub", h, rank_order(h), it, converged, residual, degenerate)
@@ -278,22 +281,16 @@ def randomized_hits(
     no_out = out == 0
     no_in = ind == 0
 
-    h = np.ones(n)
-    a_prev = None
-    residual = np.inf
-    converged = False
-    it = 0
-    for it in range(1, ctrl.max_iter + 1):
-        a = eps + (1.0 - eps) * (_backward(g, h * inv_out) + h[no_out].sum() / n)
-        h = eps + (1.0 - eps) * (_forward(g, a * inv_in) + a[no_in].sum() / n)
-        if a_prev is not None:
-            residual = float(np.abs(a - a_prev).sum())
-            if residual < ctrl.tol:
-                converged = True
-                a_prev = a
-                break
-        a_prev = a
-    a = a_prev
+    def hub_of(a):
+        return eps + (1.0 - eps) * (_forward(g, a * inv_in) + a[no_in].sum() / n)
+
+    def authority_of(h):
+        return eps + (1.0 - eps) * (_backward(g, h * inv_out) + h[no_out].sum() / n)
+
+    a, it, converged, residual = _fixed_point(
+        lambda a: authority_of(hub_of(a)), authority_of(np.ones(n)), 1, ctrl
+    )
+    h = hub_of(a)
     auth = RankingResult("randomized_hits_authority", a, rank_order(a), it, converged, residual)
     hub = RankingResult("randomized_hits_hub", h, rank_order(h), it, converged, residual)
     return auth, hub

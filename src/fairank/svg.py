@@ -28,7 +28,7 @@ def _ypix(y: float) -> float:
     return _MT + (1.0 - y) * (_H - _MT - _MB)
 
 
-def curve_chart(curves: Mapping[str, object], title: str = "") -> str:
+def curve_chart(curves: Mapping[str, object]) -> str:
     """Render algorithm share curves (plus their baseline) as an SVG string."""
     if not curves:
         raise ValueError("nothing to plot")
@@ -42,10 +42,6 @@ def curve_chart(curves: Mapping[str, object], title: str = "") -> str:
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle">{title}</text>'
-        )
 
     # y grid and labels
     for i in range(6):

@@ -324,6 +324,30 @@ def test_flag_a_subcommand_would_ignore_exits_one(argv, tmp_path, monkeypatch):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["rank", "--nodes", "999", "--homophily", "0.9"], ""),
+    (["rank", "--outdeg", "2"], ""),
+    (["rank"], "minority_ratio = 0.2\n"),
+    (["sweep", "--axis", "k", "--values", "1", "--reps", "7", "--nodes", "5"], ""),
+    (["sweep", "--axis", "k", "--values", "1"], "reps = 7\n"),
+])
+def test_generator_flag_on_a_file_graph_exits_one(argv, config, dataset, tmp_path,
+                                                  capsys):
+    # these flags shape a generated graph and would do nothing to one read
+    # from files; --seed stays, since it offsets the --tie-shuffle seed
+    edges, colors = dataset
+    argv = [*argv, "--edges", edges, "--colors", colors, "--seed", "3",
+            "--out-dir" if argv[0] == "sweep" else "--out", str(tmp_path / "out")]
+    if config:
+        (tmp_path / "cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    assert "not used with --edges/--colors" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _ranked_nodes(text):
     return [int(row.split(",")[0]) for row in text.strip().split("\n")[1:]]
 

@@ -1,5 +1,7 @@
 """File format round trips and parse error reporting."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -96,10 +98,24 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
 
 def test_load_graph_missing_color_entry(tmp_path):
-    (tmp_path / "e.tsv").write_text("a\tb\nb\tz\n")
+    (tmp_path / "e.tsv").write_text("a\tb\n\n# z\nb\tz\n")
     (tmp_path / "c.tsv").write_text("a\tR\nb\tB\n")
-    with pytest.raises(GraphError, match="node 'z' has no entry"):
+    with pytest.raises(GraphError, match=r"e\.tsv:4: node 'z' has no entry"):
         load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_graph_missing_color_entry_on_a_pipe(tmp_path):
+    # a pipe reads once, so the error keeps the bare path instead of a line
+    (tmp_path / "c.tsv").write_text("a\tR\nb\tB\n")
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"a\tb\nb\tz\n")
+    os.close(write_end)
+    try:
+        with pytest.raises(GraphError, match=rf"^/dev/fd/{read_end}: node 'z' has no entry"):
+            load_graph(f"/dev/fd/{read_end}", tmp_path / "c.tsv")
+    finally:
+        os.close(read_end)
 
 
 def test_load_graph_empty_inputs(tmp_path):

@@ -574,3 +574,23 @@ def test_non_convergence_is_reported():
     assert not res.converged
     assert res.iterations_used == 3
     assert res.residual > 1e-14
+
+
+# SHA-256 over the scores and (iterations, converged, residual) of pagerank,
+# hits and randomized_hits on one n=1000 BPAM graph, at three stopping rules
+POWER_ITERATION_SHA256 = {
+    1000: "d15636f8c19588241c87b8d0642414fc01db41edf94ad432787ae28587bb6d44",
+    1: "21b8c5f04ffe02c39a382e44faed1b5ef7f02489f01424d4e9ac0d291bd2dc3d",
+    2: "5059cc50a2f81e8ffea04f96a0f5a332fc07948a01a6fdf3ee1cb5ff13beb1f9",
+}
+
+
+@pytest.mark.parametrize("max_iter", [1000, 1, 2])
+def test_power_iteration_outputs_are_pinned(max_iter):
+    g = _bpam_1000(1)
+    ctrl = IterationControl(max_iter=max_iter)
+    h = hashlib.sha256()
+    for res in (pagerank(g, ctrl=ctrl), *hits(g, ctrl), *randomized_hits(g, ctrl=ctrl)):
+        h.update(res.scores.tobytes())
+        h.update(repr((res.iterations_used, res.converged, res.residual)).encode())
+    assert h.hexdigest() == POWER_ITERATION_SHA256[max_iter]
