@@ -62,8 +62,6 @@ class CliParser(argparse.ArgumentParser):
 def _threads(flag) -> int:
     """Worker processes: ``--threads``, else FAIRANK_THREADS, else 1."""
     if flag is not None:
-        if flag < 1:
-            raise GraphError("--threads must be at least 1")
         return flag
     raw = os.environ.get("FAIRANK_THREADS", "1")
     try:
@@ -146,7 +144,7 @@ _OPTIONS = (
     _Option("--out", "rank " + _ANALYTIC, "output file (default stdout)"),
     _Option("--threads", _GRAPHS,
             "worker processes for replicas (default: FAIRANK_THREADS or 1); "
-            "rank and real have one graph, so nothing to fan out",
+            "rank and real have one graph and accept only 1",
             type=int, field="threads", to_field=_threads, default=None),
     _Option("--strict", _RANKING,
             "exit with status 3 when any iterative ranker fails to converge",
@@ -176,7 +174,8 @@ _OPTIONS = (
     _Option("--weight", _RANKING, "eigenvalue weighting for the eigenspace ranker",
             field="weight", to_field=_WEIGHT_BY_FLAG.__getitem__,
             choices=sorted(_WEIGHT_BY_FLAG)),
-    _Option("--tol", _RANKING, "L1 convergence tolerance", type=float, field="tol"),
+    _Option("--tol", _RANKING, "convergence tolerance: L1 change of the iterates, or "
+            "subspace angle sine for hits and subspace", type=float, field="tol"),
     _Option("--max-iter", _RANKING, "iteration cap", type=int, field="max_iter"),
     _Option("--degree-which", _RANKING, "degree kind for the degree ranker",
             field="degree_which", choices=("in", "total")),
@@ -292,7 +291,7 @@ def _split_argv(argv: list[str]):
 def _config(args, **fixed) -> ExperimentConfig:
     """ExperimentConfig from the options the subcommand took; a field whose
     option it does not take, or that parsed to None, keeps its default
-    unless ``fixed`` sets it."""
+    unless ``fixed`` sets it. A graph from files sets real mode."""
     values = vars(args)
     fields = dict(fixed)
     for opt in _options_of(args.command):
@@ -301,13 +300,9 @@ def _config(args, **fixed) -> ExperimentConfig:
             fields[opt.field] = opt.to_field(value)
         elif opt.field is not None and value is not None:
             fields[opt.field] = value
+    if fields.get("edge_file") is not None:
+        fields["mode"] = "real"
     return ExperimentConfig(**fields)
-
-
-def _mode(args) -> str:
-    if (args.edges is None) != (args.colors is None):
-        raise GraphError("--edges and --colors must be given together")
-    return "synthetic" if args.edges is None else "real"
 
 
 def _strict_exit(args, converged: bool, message: str) -> int:
@@ -331,7 +326,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    (result,), labels = run_rank(_config(args, mode=_mode(args)))
+    (result,), labels = run_rank(_config(args))
     _emit(ranking_csv(result, labels), args.out)
     return _strict_exit(args, result.converged, "did not converge within --max-iter")
 
@@ -343,7 +338,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_real(args) -> int:
     # a dataset is one replica
-    _, _, all_converged = run_real(_config(args, mode="real", reps=1))
+    _, _, all_converged = run_real(_config(args, reps=1))
     return _strict_exit(args, all_converged, "some rankers did not converge")
 
 
@@ -392,7 +387,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config(args, mode=_mode(args))
+    config = _config(args)
     raw = [v for v in args.values.split(",") if v.strip()]
     if not raw:
         raise GraphError("--values is empty")
@@ -435,7 +430,17 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     args = parser.parse_args(injected + rest)
     values = vars(args)
+    threads = values.get("threads")
+    if threads is not None and threads < 1:
+        parser.error("--threads must be at least 1")
+    if threads not in (None, 1) and command in ("rank", "real"):
+        parser.error(f"--threads: {command} ranks one graph, so only 1 is accepted")
     if values.get("edges") is not None or values.get("colors") is not None:
+        if values["edges"] is None or values["colors"] is None:
+            parser.error("--edges and --colors must be given together")
+        if values.get("axis") == "rho":
+            parser.error("--axis rho sweeps a generator parameter, so it needs "
+                         "synthetic graphs, not --edges/--colors")
         unused = [opt.flag for opt in _options_of(command)
                   if opt.flag in _GENERATED_ONLY and values[opt.dest] is not None]
         if unused:

@@ -39,9 +39,6 @@ SUBSPACE_WEIGHTS = ("unit", "lambda_sq")
 # numerically non-simple (ranking then depends on iteration details).
 _DEGENERATE_GAP = 1e-8
 
-# loose angle tolerance for the quick degeneracy probe
-_PROBE_ANGLE_TOL = 1e-6
-
 # angle below which a subspace pinned only by a degenerate eigengap is
 # accepted as settled (tighter precision is unattainable there)
 _STALL_ANGLE_TOL = 1e-8
@@ -57,7 +54,9 @@ class IterationControl:
     """Stopping rule for iterative rankers.
 
     ``tol`` bounds the L1 distance between successive (normalized)
-    iterates; ``max_iter`` caps the number of full update sweeps.
+    iterates, or for the Ritz solver of HITS and subspace HITS the sine of
+    the largest angle between successive leading subspaces; ``max_iter``
+    caps the number of full update sweeps.
     """
 
     tol: float = 1e-10
@@ -94,10 +93,11 @@ class RankingResult:
     """Scores plus the induced deterministic ranking.
 
     ``order`` is a permutation of node ids, best first: score descending,
-    node id ascending on ties. ``residual`` is the last L1 change between
-    iterates (0 for direct methods); ``degenerate`` flags rankings that sit
-    on a (numerically) non-simple leading eigenvalue or a rank-deficient
-    subspace, where the order is not robust.
+    node id ascending on ties. ``residual`` is the last change that
+    ``IterationControl.tol`` bounds (0 for direct methods, inf when none was
+    measured); ``degenerate`` flags rankings that sit on a (numerically)
+    non-simple leading eigenvalue or a rank-deficient subspace, where the
+    order is not robust.
     """
 
     algorithm: str
@@ -186,11 +186,14 @@ def hits(
 ) -> tuple[RankingResult, RankingResult]:
     """Mutually reinforcing authority and hub scores.
 
-    Starting from all-one hubs, alternately sets authorities to the
+    Starting from all-one hubs, alternately setting authorities to the
     backward sum of hub scores and hubs to the forward sum of authority
-    scores, L2-normalizing each half-step. The converged authority vector
-    is the principal eigenvector of A^T A (hubs: of A A^T). Returns
-    (authorities, hubs); both carry the same convergence flags.
+    scores, L2-normalizing each half-step, converges to the principal
+    eigenvector of A^T A (hubs: of A A^T). On a simple top eigenvalue that
+    is the top Ritz vector at k = 1, signed to agree with the indegrees, and
+    an iteration is a solver sweep. On a tied one only the all-ones start
+    picks the limit, so the reinforcement loop runs. Returns (authorities,
+    hubs); both carry the same convergence flags.
     """
     if g.n_edges == 0:
         raise GraphError("hub/authority scores need at least one edge")
@@ -201,13 +204,17 @@ def hits(
     def authority_of(h):
         return _unit(_backward(g, h))
 
-    a, it, converged, residual = _fixed_point(
-        lambda a: authority_of(hub_of(a)), authority_of(np.ones(g.n)), 1, ctrl
-    )
+    _, ritz, it, converged, residual, tied = _ritz_topk(g, 1, ctrl.max_iter, ctrl.tol)
+    if tied:
+        a, it, converged, residual = _fixed_point(
+            lambda a: authority_of(hub_of(a)), authority_of(np.ones(g.n)), 1, ctrl
+        )
+    else:
+        sign = 1.0 if ritz[0] @ g.indeg > 0 else -1.0
+        a = sign * ritz[0] + 0.0  # + 0.0 turns the -0.0 of exact zeros into 0.0
     h = hub_of(a)
-    degenerate = _top_gap_degenerate(g)
-    auth = RankingResult("hits_authority", a, rank_order(a), it, converged, residual, degenerate)
-    hub = RankingResult("hits_hub", h, rank_order(h), it, converged, residual, degenerate)
+    auth = RankingResult("hits_authority", a, rank_order(a), it, converged, residual, tied)
+    hub = RankingResult("hits_hub", h, rank_order(h), it, converged, residual, tied)
     return auth, hub
 
 
@@ -372,7 +379,7 @@ def _filter_degree(top: float, bottom: float) -> int:
     return degree
 
 
-def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-10):
+def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float):
     """Leading Ritz pairs of A^T A by Chebyshev-filtered block subspace iteration.
 
     The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
@@ -405,9 +412,9 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
     go unflagged. On a tied boundary the gap check flags the tie, and the
     stall rule stops iteration once the leading-k subspace, or the span of
     the rows down to the last one tied with theta_k, moves by less than
-    max(``angle_tol``, 1e-8). Returns (theta, U, iterations, converged,
-    angle): eigenvalue estimates descending, the Ritz vectors as the rows
-    of U, and the number of sweeps.
+    max(``angle_tol``, 1e-8). Returns (theta, U, sweeps, converged, angle,
+    tied): eigenvalues descending, the Ritz vectors as rows of U, the last
+    angle (inf after one sweep) and whether theta_k and theta_{k+1} tie.
     """
     n = g.n
     b = min(k + 2, n)
@@ -466,15 +473,7 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float = 1e-1
             del az
             f /= np.sqrt(np.einsum("ij,ij->i", f, f))[:, None]
             q = _orthonormal_rows(f)
-    return theta, ritz, it, converged, angle
-
-
-def _top_gap_degenerate(g: ColoredDigraph) -> bool:
-    """True when the two largest eigenvalues of A^T A (numerically) coincide."""
-    if g.n < 2:
-        return False
-    theta, _, _, _, _ = _ritz_topk(g, 2, 60, _PROBE_ANGLE_TOL)
-    return bool(theta[0] - theta[1] <= _DEGENERATE_GAP * max(theta[0], 1e-300))
+    return theta, ritz, it, converged, angle, tied
 
 
 def subspace_hits(
@@ -497,16 +496,11 @@ def subspace_hits(
         raise ValueError("k must lie in 1..n")
     if weight not in SUBSPACE_WEIGHTS:
         raise ValueError(f"weight must be one of {SUBSPACE_WEIGHTS}")
-    theta, ritz, it, converged, angle = _ritz_topk(g, k, ctrl.max_iter, ctrl.tol)
+    theta, ritz, it, converged, angle, tied = _ritz_topk(g, k, ctrl.max_iter, ctrl.tol)
     top = theta[:k]
-    degenerate = bool(top[-1] <= theta[0] * 1e-12)
-    if k < theta.shape[0] and theta[0] > 0:
-        degenerate = degenerate or bool(
-            top[-1] - theta[k] <= _DEGENERATE_GAP * theta[0]
-        )
+    degenerate = tied or bool(top[-1] <= theta[0] * 1e-12)
     f_weights = np.ones(k) if weight == "unit" else top**2
     scores = f_weights @ ritz[:k] ** 2
     return RankingResult(
-        "subspace_hits", scores, rank_order(scores), it, converged,
-        float(angle if np.isfinite(angle) else 0.0), degenerate,
+        "subspace_hits", scores, rank_order(scores), it, converged, angle, degenerate
     )

@@ -46,6 +46,22 @@ def dense_authority_eig(edges, n):
     return w, top, v
 
 
+def dense_hits_limit(edges, n):
+    """Limit of the HITS authority iteration from all-one hubs.
+
+    The first authority iterate is the indegree vector and each further
+    step multiplies by A^T A, so the normalized iterates tend to the
+    projection of the indegrees onto the top eigenspace: the eigenvectors
+    whose eigenvalues lie within 1e-8 * lambda_1 of lambda_1. Returned with
+    unit L2 norm.
+    """
+    w, _, v = dense_authority_eig(edges, n)
+    cluster = v[:, w >= w[0] - 1e-8 * w[0]]
+    indeg = brute_degrees(edges, n)[0]
+    limit = cluster @ (cluster.T @ indeg)
+    return limit / np.linalg.norm(limit)
+
+
 def dense_subspace_scores(edges, n, k, weight):
     """Aggregated eigenspace scores from a full dense eigendecomposition."""
     w, _, v = dense_authority_eig(edges, n)

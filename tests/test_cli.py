@@ -75,9 +75,33 @@ def test_bad_color_value_reports_location(tmp_path, capsys):
 
 def test_rank_needs_both_files(tmp_path, capsys):
     (tmp_path / "e.tsv").write_text("0\t1\n")
-    code = run_cli("rank", "--edges", str(tmp_path / "e.tsv"))
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rank", "--edges", str(tmp_path / "e.tsv"))
+    assert exc.value.code == 1
     assert "given together" in capsys.readouterr().err
+
+
+def test_zero_threads_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--nodes", "40", "--threads", "0")
+    assert exc.value.code == 1
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, output", [
+    ("rank", ["--algo", "degree", "--out", "ranking.csv"]),
+    ("real", ["--algos", "degree", "--out-dir", "real"]),
+])
+def test_one_graph_commands_accept_only_one_thread(command, output, dataset, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    edges, colors = dataset
+    argv = [command, "--edges", edges, "--colors", colors, *output]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--threads", "2")
+    assert exc.value.code == 1
+    assert "only 1 is accepted" in capsys.readouterr().err
+    assert run_cli(*argv, "--threads", "1") == 0
 
 
 # -- generate ----------------------------------------------------------------------
@@ -290,11 +314,12 @@ def test_sweep_k_rejects_algos_other_than_subspace(tmp_path, capsys):
 
 def test_sweep_rho_requires_synthetic(dataset, tmp_path, capsys):
     edges, colors = dataset
-    code = run_cli(
-        "sweep", "--axis", "rho", "--values", "0.2,0.8",
-        "--edges", edges, "--colors", colors, "--out-dir", str(tmp_path),
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "sweep", "--axis", "rho", "--values", "0.2,0.8",
+            "--edges", edges, "--colors", colors, "--out-dir", str(tmp_path),
+        )
+    assert exc.value.code == 1
     assert "synthetic" in capsys.readouterr().err
 
 

@@ -109,7 +109,7 @@ GOLDEN = {
     },
     "rank_files": {
         "ranking.csv":
-            "98f37035117f708fc7c6290db3a21c75b5afed964b2f44f63e9c26b0d24ed3c6",
+            "68245932b3880886efa4aeb4ea61f1c41e0debc28d1ff338a782988cfea12eea",
     },
     "sweep_rho": {
         "manifest.json":

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from fairank import rankers
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
-    _PROBE_ANGLE_TOL,
     IterationControl,
     _orthonormal_rows,
-    _ritz_topk,
     _sin_largest_angle,
-    _top_gap_degenerate,
     degree_rank,
     hits,
     hits_trace,
@@ -144,6 +142,60 @@ def test_hits_matches_dense_eigenvector():
         _, hub_top, _ = oracles.dense_authority_eig([(v, u) for u, v in edges], n)
         assert cosine(hub.scores, hub_top) > 1 - 1e-10
         done += 1
+
+
+# graphs whose top eigenvalue of A^T A is tied, and their vertex counts
+TIED_SPECTRA = {
+    "two_2cycles": ([(0, 1), (1, 0), (2, 3), (3, 2)], 4),
+    "cycle": ([(i, (i + 1) % 5) for i in range(5)], 5),
+    "path": ([(i, i + 1) for i in range(30)], 31),
+    "in_stars": ([(5 * s + j, 5 * s) for s in range(5) for j in range(1, 5)], 25),
+    "star_pair": ([(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 12)], 12),
+}
+
+
+def _simple_spectra(count):
+    """Random graphs whose top eigenvalue is clearly simple."""
+    rng = np.random.default_rng(29)
+    while count:
+        n, edges = oracles.random_digraph(rng)
+        w, _, _ = oracles.dense_authority_eig(edges, n)
+        if w[0] > 0 and w[1] / w[0] <= 0.9:
+            count -= 1
+            yield edges, n
+
+
+@pytest.mark.parametrize("edges, n", [
+    *TIED_SPECTRA.values(), *_simple_spectra(6),
+], ids=[*TIED_SPECTRA, *(f"simple{i}" for i in range(6))])
+def test_hits_authorities_are_the_limit_from_all_one_hubs(edges, n):
+    # on a tied top eigenvalue any vector of the eigenspace is an
+    # eigenvector; HITS is the one the all-ones start converges to
+    auth, _ = hits(_graph(edges, n))
+    assert np.max(np.abs(auth.scores - oracles.dense_hits_limit(edges, n))) < 1e-10
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Results of every _ritz_topk and _fixed_point call, by function name."""
+    calls = defaultdict(list)
+    for name in ("_ritz_topk", "_fixed_point"):
+        def spy(*args, _name=name, _solve=getattr(rankers, name)):
+            calls[_name].append(_solve(*args))
+            return calls[_name][-1]
+        monkeypatch.setattr(rankers, name, spy)
+    return calls
+
+
+def test_hits_on_a_simple_top_eigenvalue_is_one_ritz_solve(solver_calls):
+    auth, hub = hits(_bpam_1000(1))
+    (solve,) = solver_calls["_ritz_topk"]
+    assert not solver_calls["_fixed_point"]
+    _, _, sweeps, converged, angle, tied = solve
+    assert not tied and converged
+    for res in (auth, hub):
+        assert (res.iterations_used, res.converged, res.residual) == (sweeps, True, angle)
+        assert not res.degenerate
 
 
 def test_hits_flags_tied_leading_eigenvalue():
@@ -346,13 +398,14 @@ ORDER_SHA256 = {
 
 
 @pytest.mark.parametrize("seed, sweeps, hits_iterations", [
-    (1, 12, 31), (2, 14, 69), (3, 12, 55), (11, 11, 53),
+    (1, 12, 6), (2, 14, 6), (3, 12, 7), (11, 11, 7),
 ])
 def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations):
     # the sweep counts of the Chebyshev-filtered solver (plain subspace
     # iteration took 105/139/61/78): a change that weakens the filter or
     # lowers its degree shows here, and the order digests show any node the
-    # filter moves
+    # filter moves. HITS runs the same solver at k = 1 (its power loop took
+    # 31/69/55/53 iterations)
     g = _bpam_1000(seed)
     res = subspace_hits(g, 6)
     assert res.iterations_used == sweeps
@@ -391,8 +444,8 @@ def test_subspace_scores_of_twin_columns_are_bitwise_equal(graph):
         g = _bpam_1000(1)
     twins = _in_neighbour_twins(g)
     assert twins
-    for k in (1, 2, 3, 4):
-        scores = subspace_hits(g, k).scores
+    for k in (1, 2, 3, 4, "hits"):
+        scores = hits(g)[0].scores if k == "hits" else subspace_hits(g, k).scores
         for nodes in twins:
             assert np.all(scores[nodes] == scores[nodes[0]]), (k, nodes)
 
@@ -491,20 +544,23 @@ def test_subspace_stops_on_a_gap_just_above_the_tie_tolerance(k, tol, sweeps):
 @pytest.mark.parametrize("graph, degenerate, sweeps", [
     ("cycle", True, 8), ("path", True, 21), ("star_pair", True, 3), ("twin_pairs", False, 60),
 ])
-def test_degeneracy_probe_settles_on_tied_spectra(graph, degenerate, sweeps):
-    # the probe runs the solver at k = 2 with a loose tol and a 60-sweep cap.
-    # Plain subspace iteration took 8, 21, 3 and 60 sweeps here and did not
-    # converge on twin_pairs, whose exact 3-fold 1 fills the rest of the block
+def test_degeneracy_probe_settles_on_tied_spectra(graph, degenerate, sweeps, solver_calls):
+    # hits reads its degeneracy flag off its one Ritz solve at k = 1. That
+    # solve must settle here within the sweeps that the separate k = 2 probe
+    # it replaced took with plain subspace iteration. On twin_pairs a simple
+    # top eigenvalue 2 is followed by an exact 3-fold 1 that fills the rest
+    # of the block
     edges, n = {
-        "cycle": ([(i, (i + 1) % 5) for i in range(5)], 5),
-        "path": ([(i, i + 1) for i in range(30)], 31),
-        "star_pair": ([(0, i) for i in range(1, 6)] + [(6, i) for i in range(7, 12)], 12),
+        **TIED_SPECTRA,
         "twin_pairs": ([(0, 1), (2, 3), (4, 5), (6, 7), (6, 8)], 9),
     }[graph]
-    g = _graph(edges, n)
-    _, _, it, converged, _ = _ritz_topk(g, 2, 60, _PROBE_ANGLE_TOL)
-    assert converged and it <= sweeps
-    assert _top_gap_degenerate(g) == degenerate
+    auth, hub = hits(_graph(edges, n))
+    (solve,) = solver_calls["_ritz_topk"]
+    _, _, it, converged, _, tied = solve
+    assert converged and it <= sweeps and tied == degenerate
+    # only a tied top eigenvalue runs the reinforcement loop
+    assert len(solver_calls["_fixed_point"]) == int(degenerate)
+    assert auth.converged and auth.degenerate == hub.degenerate == degenerate
 
 
 # -- eigen-solver building blocks -----------------------------------------------
@@ -576,12 +632,20 @@ def test_non_convergence_is_reported():
     assert res.residual > 1e-14
 
 
+def test_a_single_sweep_reports_an_infinite_residual():
+    # one sweep measures no change, so no residual: 0.0 would read as exact
+    g = _bpam_1000(1)
+    one = IterationControl(max_iter=1)
+    for res in (subspace_hits(g, 3, ctrl=one), *hits(g, one), *randomized_hits(g, ctrl=one)):
+        assert not res.converged and res.residual == np.inf
+
+
 # SHA-256 over the scores and (iterations, converged, residual) of pagerank,
 # hits and randomized_hits on one n=1000 BPAM graph, at three stopping rules
 POWER_ITERATION_SHA256 = {
-    1000: "d15636f8c19588241c87b8d0642414fc01db41edf94ad432787ae28587bb6d44",
-    1: "21b8c5f04ffe02c39a382e44faed1b5ef7f02489f01424d4e9ac0d291bd2dc3d",
-    2: "5059cc50a2f81e8ffea04f96a0f5a332fc07948a01a6fdf3ee1cb5ff13beb1f9",
+    1000: "46569ee21fcf7b82330d5167aa685719e27fd1d339043405371694f41d22c00b",
+    1: "5819322cff18dc0611bb41b41c47b405a2258ad08c1f309ac47855355c2170bb",
+    2: "2d8056a24b2337af3b56fb4b2c6c61b2f1a683cac0b0cb03adce5f395331677b",
 }
 
 
