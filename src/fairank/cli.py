@@ -345,8 +345,6 @@ def _cmd_real(args) -> int:
 def _points(args) -> list[tuple[float, float]]:
     if args.grid:
         return [(float(r), float(rho)) for r in _GRID_R for rho in _GRID_RHO]
-    if args.r is None or args.rho is None:
-        raise GraphError("give both --r and --rho, or use --grid")
     return [(args.r, args.rho)]
 
 
@@ -387,19 +385,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _config(args)
-    raw = [v for v in args.values.split(",") if v.strip()]
-    if not raw:
-        raise GraphError("--values is empty")
-    if args.axis == "k":
-        if args.algos is not None and set(args.algos) != {"subspace"}:
-            sys.stderr.write("fairank sweep: error: --axis k ranks only subspace; "
-                             "drop --algos or give --algos subspace\n")
-            return EXIT_USAGE
-        values = [int(v) for v in raw]
-    else:
-        values = [float(v) for v in raw]
-    _, _, all_converged = sweep(config, args.axis, values)
+    _, _, all_converged = sweep(_config(args), args.axis, args.values)
     return _strict_exit(args, all_converged, "some runs did not converge")
 
 
@@ -433,8 +419,10 @@ def main(argv=None) -> int:
     threads = values.get("threads")
     if threads is not None and threads < 1:
         parser.error("--threads must be at least 1")
-    if threads not in (None, 1) and command in ("rank", "real"):
-        parser.error(f"--threads: {command} ranks one graph, so only 1 is accepted")
+    if command in ("rank", "real"):
+        if threads not in (None, 1):
+            parser.error(f"--threads: {command} ranks one graph, so only 1 is accepted")
+        args.threads = 1  # nothing to fan out, so FAIRANK_THREADS does not apply
     if values.get("edges") is not None or values.get("colors") is not None:
         if values["edges"] is None or values["colors"] is None:
             parser.error("--edges and --colors must be given together")
@@ -445,6 +433,24 @@ def main(argv=None) -> int:
                   if opt.flag in _GENERATED_ONLY and values[opt.dest] is not None]
         if unused:
             parser.error(f"not used with --edges/--colors: {' '.join(unused)}")
+    if command in ("meanfield", "verify"):
+        point = (args.r, args.rho)
+        if args.grid and point != (None, None):
+            parser.error("--grid sweeps its own points, so --r and --rho are not used")
+        if not args.grid and None in point:
+            parser.error("give both --r and --rho, or use --grid")
+    if command == "sweep":
+        if args.axis == "k" and args.algos is not None and set(args.algos) != {"subspace"}:
+            parser.error("--axis k ranks only subspace; drop --algos or give "
+                         "--algos subspace")
+        cast = int if args.axis == "k" else float
+        try:
+            args.values = [cast(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            parser.error(f"--values {args.values!r}: --axis {args.axis} takes "
+                         f"comma-separated {cast.__name__} values")
+        if not args.values:
+            parser.error("--values is empty")
     try:
         return _COMMANDS[command][0](args)
     except (GraphError, ValueError, ArithmeticError, OSError) as exc:

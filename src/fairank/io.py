@@ -3,15 +3,15 @@
 Edge lists are tab-separated ``src<TAB>dst`` lines; color files are
 ``node<TAB>R`` / ``node<TAB>B``. Blank lines are ignored in both, and a
 ``#`` at the start of a line or of a tab-separated field starts a comment
-that runs to the end of the line; a ``#`` inside a label is kept. Node labels may be arbitrary strings; they are remapped
-to dense ids in color-file order and the mapping can be written back out.
+that runs to the end of the line; a ``#`` inside a label is kept. Node
+labels may be arbitrary strings; they are remapped to dense ids in
+color-file order and the mapping can be written back out.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +36,9 @@ def _drop_comment(line: str) -> str:
     return line
 
 
-def _records(path) -> Iterable[tuple[int, list[str]]]:
+def _records(path, form: str) -> Iterator[tuple[int, str, str]]:
+    """Yield ``(lineno, left, right)`` per record, skipping blanks and comments;
+    ``form`` names the two fields in the error for a line without them."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if "#" in line:
@@ -44,30 +46,25 @@ def _records(path) -> Iterable[tuple[int, list[str]]]:
             body = line.strip()
             if not body:
                 continue
-            yield lineno, body.split("\t")
+            fields = body.split("\t")
+            if len(fields) != 2:
+                raise GraphError(f"{path}:{lineno}: expected '{form}'")
+            yield lineno, fields[0].strip(), fields[1].strip()
 
 
 def read_edge_list(path) -> list[tuple[str, str]]:
     """Parse ``src<TAB>dst`` lines into label pairs (labels kept as text)."""
-    edges = []
-    for lineno, fields in _records(path):
-        if len(fields) != 2:
-            raise GraphError(f"{path}:{lineno}: expected 'src<TAB>dst'")
-        edges.append((fields[0].strip(), fields[1].strip()))
-    return edges
+    return [(src, dst) for _, src, dst in _records(path, "src<TAB>dst")]
 
 
 def read_color_file(path) -> dict[str, Color]:
     """Parse ``node<TAB>color`` lines; duplicate nodes are an error."""
     colors: dict[str, Color] = {}
-    for lineno, fields in _records(path):
-        if len(fields) != 2:
-            raise GraphError(f"{path}:{lineno}: expected 'node<TAB>color'")
-        label = fields[0].strip()
+    for lineno, label, color in _records(path, "node<TAB>color"):
         if label in colors:
             raise GraphError(f"{path}:{lineno}: duplicate color for node {label!r}")
         try:
-            colors[label] = Color.parse(fields[1])
+            colors[label] = Color.parse(color)
         except GraphError as exc:
             raise GraphError(f"{path}:{lineno}: {exc}") from None
     return colors
@@ -77,37 +74,27 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     """Load a colored digraph from an edge file plus a color file.
 
     Labels become dense ids in color-file order. Returns the graph and the
-    label list (``labels[i]`` is the original name of node ``i``). Edges
-    mentioning a node that has no color entry are an error.
+    label list (``labels[i]`` is the original name of node ``i``). An edge
+    naming a node with no color entry is an error. Each file is read once.
     """
     color_map = read_color_file(color_path)
     if not color_map:
         raise GraphError(f"{color_path}: no color records")
-    labels = list(color_map.keys())
-    index = {label: i for i, label in enumerate(labels)}
+    index = {label: i for i, label in enumerate(color_map)}
 
-    raw_edges = read_edge_list(edge_path)
-    if not raw_edges:
+    ids = []  # flat src, dst ids, mapped while the file is read
+    for lineno, src, dst in _records(edge_path, "src<TAB>dst"):
+        try:
+            ids += index[src], index[dst]
+        except KeyError as exc:
+            raise GraphError(f"{edge_path}:{lineno}: node {exc.args[0]!r} has no "
+                             f"entry in {os.fspath(color_path)}") from None
+    if not ids:
         raise GraphError(f"{edge_path}: no edge records")
-    try:
-        ids = np.fromiter(
-            map(index.__getitem__, itertools.chain.from_iterable(raw_edges)),
-            np.int64,
-            count=2 * len(raw_edges),
-        )
-    except KeyError as exc:
-        # the line is looked up only here, off the fast path; a stream that
-        # cannot be read twice (a pipe) leaves the bare path
-        label = exc.args[0]
-        where = next((f"{edge_path}:{no}" for no, fields in _records(edge_path)
-                      if label in (field.strip() for field in fields)), edge_path)
-        raise GraphError(
-            f"{where}: node {label!r} has no entry in {os.fspath(color_path)}"
-        ) from None
-    edges = ids.reshape(-1, 2)
-
-    color_arr = np.fromiter((int(color_map[l]) for l in labels), dtype=np.uint8)
-    return from_edge_list(edges, color_arr), labels
+    edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    del ids  # before the graph build copies the edges
+    color_arr = np.fromiter(map(int, color_map.values()), dtype=np.uint8)
+    return from_edge_list(edges, color_arr), list(color_map)
 
 
 def _label(labels: Sequence[str] | None, node: int) -> str:

@@ -263,7 +263,9 @@ def test_meanfield_grid_and_determinism(tmp_path):
 
 
 def test_meanfield_needs_point_or_grid(capsys):
-    assert run_cli("meanfield") == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("meanfield")
+    assert exc.value.code == 1
     assert "--grid" in capsys.readouterr().err
 
 
@@ -304,7 +306,9 @@ def test_sweep_k_rejects_algos_other_than_subspace(tmp_path, capsys):
     base = ["sweep", "--axis", "k", "--values", "1,2", "--nodes", "50",
             "--outdeg", "2", "--reps", "1", "--grid-points", "8"]
     out = tmp_path / "mixed"
-    assert run_cli(*base, "--algos", "subspace", "hits", "--out-dir", str(out)) == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*base, "--algos", "subspace", "hits", "--out-dir", str(out))
+    assert exc.value.code == 1
     assert "--axis k ranks only subspace" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
     out = tmp_path / "subspace"
@@ -324,9 +328,20 @@ def test_sweep_rho_requires_synthetic(dataset, tmp_path, capsys):
 
 
 def test_sweep_empty_values(tmp_path, capsys):
-    code = run_cli("sweep", "--axis", "k", "--values", ",,",
-                   "--out-dir", str(tmp_path))
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--axis", "k", "--values", ",,", "--out-dir", str(tmp_path))
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("axis, values", [("k", "1,x"), ("k", "1.5"), ("rho", "0.1,x")])
+def test_sweep_values_that_do_not_parse_exit_one(axis, values, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--axis", axis, "--values", values, "--nodes", "50",
+                "--out-dir", str(out))
+    assert exc.value.code == 1
+    assert f"--axis {axis} takes comma-separated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- every accepted flag does what it says ------------------------------------------
@@ -341,6 +356,8 @@ def test_sweep_empty_values(tmp_path, capsys):
     ["rank", "--nodes", "30", "--out-dir", "elsewhere"],
     ["meanfield", "--grid", "--out-dir", "elsewhere"],
     ["verify", "--grid", "--out-dir", "elsewhere"],
+    ["meanfield", "--grid", "--r", "0.3"],
+    ["verify", "--grid", "--r", "0.3", "--rho", "0.4"],
 ])
 def test_flag_a_subcommand_would_ignore_exits_one(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -508,6 +525,16 @@ def test_config_file_boolean_words(tmp_path):
                    "--grid-points", "8", "--out-dir", str(out))
     assert code == 0
     assert (out / "curves.svg").exists()
+
+
+def test_one_graph_commands_ignore_threads_env_var(dataset, tmp_path, monkeypatch):
+    # real and rank have one graph to rank, so FAIRANK_THREADS does not apply
+    monkeypatch.setenv("FAIRANK_THREADS", "4")
+    edges, colors = dataset
+    out = tmp_path / "real"
+    assert run_cli("real", "--edges", edges, "--colors", colors, "--algos", "degree",
+                   "--out-dir", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
 
 
 def test_threads_env_var(tmp_path, monkeypatch):

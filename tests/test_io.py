@@ -1,10 +1,12 @@
 """File format round trips and parse error reporting."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.io import (
     load_graph,
@@ -106,16 +108,39 @@ def test_load_graph_missing_color_entry(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_load_graph_missing_color_entry_on_a_pipe(tmp_path):
-    # a pipe reads once, so the error keeps the bare path instead of a line
+    # the labels are mapped as the lines are read, so a pipe names the line too
     (tmp_path / "c.tsv").write_text("a\tR\nb\tB\n")
     read_end, write_end = os.pipe()
     os.write(write_end, b"a\tb\nb\tz\n")
     os.close(write_end)
     try:
-        with pytest.raises(GraphError, match=rf"^/dev/fd/{read_end}: node 'z' has no entry"):
+        with pytest.raises(GraphError, match=rf"^/dev/fd/{read_end}:2: node 'z' has no entry"):
             load_graph(f"/dev/fd/{read_end}", tmp_path / "c.tsv")
     finally:
         os.close(read_end)
+
+
+def test_load_graph_reports_the_first_fault_in_file_order(tmp_path):
+    (tmp_path / "e.tsv").write_text("a\tb\nb\tz\na\tb\nb a\n")
+    (tmp_path / "c.tsv").write_text("a\tR\nb\tB\n")
+    with pytest.raises(GraphError, match=r"e\.tsv:2: node 'z' has no entry"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+
+
+def test_load_graph_keeps_no_label_table(tmp_path):
+    # one pass maps labels to ids as it reads; a table of label pairs would
+    # cost ~200 bytes per edge on top of the graph
+    g, _ = generate(BpamParams(10_000, 6, 0.3, 0.1), seed=3)
+    write_edge_list(tmp_path / "e.tsv", g)
+    write_color_file(tmp_path / "c.tsv", g)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.n_edges == g.n_edges
+    assert peak / g.n_edges <= 120
 
 
 def test_load_graph_empty_inputs(tmp_path):
