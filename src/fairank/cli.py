@@ -35,6 +35,7 @@ from .experiments import (
     sweep,
 )
 from .graph import GraphError
+from .io import table, write_text
 from .meanfield import mean_field_report, verify_propositions
 
 __all__ = ["main"]
@@ -114,7 +115,7 @@ class _Option:
     def dest(self) -> str:
         return self.flag[2:].replace("-", "_")
 
-    def add_to(self, parser, command: str) -> None:
+    def add_to(self, parser, command: str, require: bool = True) -> None:
         if self.type is bool:
             parser.add_argument(self.flag, action="store_true", help=self.help)
             return
@@ -122,7 +123,8 @@ class _Option:
         if default is _FROM_FIELD:
             default = _FIELD_DEFAULTS.get(self.field)
         kwargs = dict(default=default, choices=self.choices, help=self.help,
-                      metavar=self.metavar, required=command in self.required.split())
+                      metavar=self.metavar,
+                      required=require and command in self.required.split())
         if self.type is list:
             kwargs["nargs"] = "+"
         else:
@@ -205,12 +207,13 @@ def _options_of(command: str) -> list[_Option]:
     return [opt for opt in _OPTIONS if command in opt.commands.split()]
 
 
-def _build_parser(command: str) -> CliParser:
-    """The parser of one subcommand, built from the option table."""
+def _build_parser(command: str, require: bool = True) -> CliParser:
+    """The parser of one subcommand, built from the option table;
+    ``require=False`` leaves out the check for required options."""
     parser = CliParser(prog=f"fairank {command}", description=_COMMANDS[command][1])
     parser.set_defaults(command=command)
     for opt in _options_of(command):
-        opt.add_to(parser, command)
+        opt.add_to(parser, command, require)
     return parser
 
 
@@ -259,33 +262,6 @@ def _config_argv(command: str, path: str) -> list[str]:
     return tokens
 
 
-def _split_argv(argv: list[str]):
-    """Locate the subcommand and any --config value without full parsing."""
-    command = None
-    config_path = None
-    rest = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-            rest.extend((tok, argv[i + 1]))
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-            rest.append(tok)
-            i += 1
-            continue
-        if command is None and not tok.startswith("-"):
-            command = tok
-            i += 1
-            continue
-        rest.append(tok)
-        i += 1
-    return command, config_path, rest
-
-
 # -- subcommand implementations ---------------------------------------------
 
 def _config(args, **fixed) -> ExperimentConfig:
@@ -312,14 +288,6 @@ def _strict_exit(args, converged: bool, message: str) -> int:
     return EXIT_OK
 
 
-def _emit(text: str, out) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def _cmd_generate(args) -> int:
     run_generate(_config(args))
     return EXIT_OK
@@ -327,7 +295,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_rank(args) -> int:
     (result,), labels = run_rank(_config(args))
-    _emit(ranking_csv(result, labels), args.out)
+    write_text(args.out, ranking_csv(result, labels))
     return _strict_exit(args, result.converged, "did not converge within --max-iter")
 
 
@@ -349,38 +317,28 @@ def _points(args) -> list[tuple[float, float]]:
 
 
 def _cmd_meanfield(args) -> int:
-    lines = ["r,rho,alpha,K_B,K_R,beta_B,beta_R,q_BB,q_RB,q_BR,q_RR,F"]
+    rows = []
     for r, rho in _points(args):
         rep = mean_field_report(r, rho)
         q = rep.q
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    r, rho, rep.alpha, rep.k_blue, rep.k_red,
-                    rep.beta_blue, rep.beta_red,
-                    q[0, 0], q[1, 0], q[0, 1], q[1, 1], rep.f_ratio,
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append(tuple(map(float, (
+            r, rho, rep.alpha, rep.k_blue, rep.k_red, rep.beta_blue, rep.beta_red,
+            q[0, 0], q[1, 0], q[0, 1], q[1, 1], rep.f_ratio,
+        ))))
+    write_text(args.out, table(tuple(zip(*rows)),
+                               header="r,rho,alpha,K_B,K_R,beta_B,beta_R,"
+                                      "q_BB,q_RB,q_BR,q_RR,F"))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    lines = ["r,rho,check,mode,passed,margin"]
-    failures = 0
-    total = 0
-    for r, rho in _points(args):
-        for check in verify_propositions(r, rho).values():
-            total += 1
-            failures += 0 if check.passed else 1
-            lines.append(
-                f"{r!r},{rho!r},{check.name},{check.mode},"
-                f"{str(check.passed).lower()},{check.margin!r}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
-    sys.stderr.write(f"fairank verify: {total - failures}/{total} checks passed\n")
+    rows = [(r, rho, check.name, check.mode, "true" if check.passed else "false",
+             check.margin)
+            for r, rho in _points(args)
+            for check in verify_propositions(r, rho).values()]
+    write_text(args.out, table(tuple(zip(*rows)), header="r,rho,check,mode,passed,margin"))
+    passed = sum(row[4] == "true" for row in rows)
+    sys.stderr.write(f"fairank verify: {passed}/{len(rows)} checks passed\n")
     return EXIT_OK
 
 
@@ -403,18 +361,23 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    command, config_path, rest = _split_argv(argv)
+    command = argv[0] if argv else None
     if command not in _COMMANDS:
         top = CliParser(prog="fairank", usage="fairank {%s} [options]" % ",".join(_COMMANDS))
-        if command is None:
-            top.error("a subcommand is required")
+        if command is None or command.startswith("-"):
+            top.error("a subcommand is required, and it comes before every option")
         top.error(f"unknown subcommand {command!r}")
     parser = _build_parser(command)
+    # --config is read first, so that the file's defaults can go before the
+    # flags that override them. This first parse is the full one less the
+    # check for required options, which the file may supply, so it reads
+    # abbreviations and reports errors as the full parse does
+    config_path = _build_parser(command, require=False).parse_args(argv[1:]).config
     try:
         injected = _config_argv(command, config_path) if config_path else []
     except GraphError as exc:
         parser.error(str(exc))
-    args = parser.parse_args(injected + rest)
+    args = parser.parse_args(injected + argv[1:])
     values = vars(args)
     threads = values.get("threads")
     if threads is not None and threads < 1:

@@ -20,6 +20,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,12 +30,28 @@ from .bpam import BpamParams, GenerationStats, generate
 from .fairness import (
     DEFAULT_GRID_POINTS,
     average_curves,
+    curve_columns,
     curve_compare,
     log_grid,
     minority_share_curve,
 )
-from .graph import Color, ColoredDigraph, GraphError, ccdf_by_color, hri, minority_fraction
-from .io import load_graph, write_color_file, write_edge_list, write_node_mapping
+from .graph import (
+    Color,
+    ColoredDigraph,
+    GraphError,
+    ccdf_by_color,
+    degree_ccdf,
+    hri,
+    minority_fraction,
+)
+from .io import (
+    load_graph,
+    table,
+    write_color_file,
+    write_edge_list,
+    write_node_mapping,
+    write_text,
+)
 from .rankers import (
     IterationControl,
     RankingResult,
@@ -135,12 +152,6 @@ class RunManifest:
     wall_clock_sec: float
     file_hashes: dict
 
-    def write(self, path) -> None:
-        payload = dataclasses.asdict(self)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def compute_ranking(g: ColoredDigraph, algo: str, config: ExperimentConfig) -> RankingResult:
     """Run one configured algorithm; hub/authority pairs yield authorities."""
@@ -158,11 +169,6 @@ def compute_ranking(g: ColoredDigraph, algo: str, config: ExperimentConfig) -> R
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for a float; deterministic across runs."""
-    return repr(float(x))
-
-
 def _hash_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -171,22 +177,29 @@ def _hash_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _finish(command, config, seeds, t0, texts: dict, written=(), curves=None) -> RunManifest:
+    """End a run in ``config.out_dir``: write ``texts`` (file name -> text)
+    and, under ``config.svg``, the chart of ``curves``. Then write the
+    manifest, which hashes those files and the ones named in ``written``,
+    which the run wrote itself."""
+    out_dir = config.out_dir
+    if config.svg and curves:
+        from .svg import curve_chart
 
-
-def _manifest(command, config, seeds, t0, out_dir, filenames) -> RunManifest:
-    hashes = {name: _hash_file(os.path.join(out_dir, name)) for name in sorted(filenames)}
+        texts = {**texts, "curves.svg": curve_chart(curves)}
+    for name, text in texts.items():
+        write_text(os.path.join(out_dir, name), text)
     manifest = RunManifest(
         command=command,
         config=dataclasses.asdict(config),
         seeds=list(seeds),
         version=__version__,
         wall_clock_sec=time.perf_counter() - t0,
-        file_hashes=hashes,
+        file_hashes={name: _hash_file(os.path.join(out_dir, name))
+                     for name in sorted([*texts, *written])},
     )
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    payload = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True)
+    write_text(os.path.join(out_dir, "manifest.json"), payload + "\n")
     return manifest
 
 
@@ -198,40 +211,33 @@ def averaged_ccdf(
     if not degs or any(d.size == 0 for d in degs):
         raise GraphError(f"color {Color(color).name} missing from some replica")
     kmax = max(int(d.max()) for d in degs)
-    acc = np.zeros(kmax + 1)
+    acc = np.zeros(kmax + 1)  # a replica's CCDF is 0 past its own max degree
     for d in degs:
-        counts = np.bincount(d, minlength=kmax + 1)
-        acc += counts[::-1].cumsum()[::-1] / d.size
+        ccdf = degree_ccdf(d)[1]
+        acc[:ccdf.size] += ccdf
     return np.arange(kmax + 1, dtype=np.int64), acc / len(degs)
 
 
 def ccdf_csv(per_color: dict) -> str:
     """CSV ``color,k,ccdf`` from a color -> (k, ccdf) mapping."""
-    lines = ["color,k,ccdf"]
-    for color in (Color.B, Color.R):
-        if color in per_color:
-            ks, cc = per_color[color]
-            for k_val, c_val in zip(ks.tolist(), cc.tolist()):
-                lines.append(f"{color.name},{k_val},{_fmt(c_val)}")
-    return "\n".join(lines) + "\n"
+    blocks = [(repeat(color.name), per_color[color][0].tolist(), per_color[color][1].tolist())
+              for color in (Color.B, Color.R) if color in per_color]
+    return table(*blocks, header="color,k,ccdf")
 
 
 def ranking_csv(result: RankingResult, labels=None) -> str:
     """CSV ``node,score,rank`` sorted by rank (best first)."""
-    lines = ["node,score,rank"]
-    for rank_pos, node in enumerate(result.order.tolist(), start=1):
-        label = str(node) if labels is None else labels[node]
-        lines.append(f"{label},{_fmt(result.scores[node])},{rank_pos}")
-    return "\n".join(lines) + "\n"
+    order = result.order.tolist()
+    nodes = order if labels is None else [labels[node] for node in order]
+    scores = result.scores[result.order].tolist()
+    return table((nodes, scores, range(1, len(order) + 1)), header="node,score,rank")
 
 
 def _stats_csv(stats_list: Sequence[GenerationStats]) -> str:
-    lines = ["replica,seed,alpha_hat,rejection_count,n_red,n_blue"]
-    for i, st in enumerate(stats_list):
-        lines.append(
-            f"{i},{st.seed},{_fmt(st.alpha_hat)},{st.rejection_count},{st.n_red},{st.n_blue}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(i, st.seed, float(st.alpha_hat), st.rejection_count, st.n_red, st.n_blue)
+            for i, st in enumerate(stats_list)]
+    return table(tuple(zip(*rows)),
+                 header="replica,seed,alpha_hat,rejection_count,n_red,n_blue")
 
 
 # -- the replica pipeline ---------------------------------------------------
@@ -260,6 +266,7 @@ class _Outcome:
     outputs: list  # one FairnessCurve or RankingResult per spec
     converged: bool
     loaded: Optional[tuple] = None  # (graph, labels) of a loaded graph
+    files: tuple = ()  # names of the files written into config.out_dir
 
 
 def _run_replica(job: _Replica) -> _Outcome:
@@ -269,6 +276,7 @@ def _run_replica(job: _Replica) -> _Outcome:
     config = job.config
     seed = config.replica_seed(job.index)
     stats = loaded = None
+    files = ()
     if config.mode == "real":
         g, labels = load_graph(config.edge_file, config.color_file)
         loaded = (g, labels)
@@ -277,8 +285,9 @@ def _run_replica(job: _Replica) -> _Outcome:
     else:
         g, stats = generate(config.bpam_params(), seed)
     if job.keep == "files":
-        write_edge_list(os.path.join(config.out_dir, f"edges_{job.index:04d}.tsv"), g)
-        write_color_file(os.path.join(config.out_dir, f"colors_{job.index:04d}.tsv"), g)
+        files = (f"edges_{job.index:04d}.tsv", f"colors_{job.index:04d}.tsv")
+        write_edge_list(os.path.join(config.out_dir, files[0]), g)
+        write_color_file(os.path.join(config.out_dir, files[1]), g)
     if job.keep == "curves":
         grid = log_grid(g.n, config.grid_points)
     outputs = []
@@ -292,7 +301,7 @@ def _run_replica(job: _Replica) -> _Outcome:
         if job.keep == "curves":
             result = minority_share_curve(result.order, g.colors, grid)
         outputs.append(result)
-    return _Outcome(stats, outputs, converged, loaded)
+    return _Outcome(stats, outputs, converged, loaded, files)
 
 
 def _fan_out(config: ExperimentConfig, jobs: list) -> list:
@@ -334,30 +343,16 @@ def _seeds(config: ExperimentConfig) -> list[int]:
     return [config.replica_seed(i) for i in range(config.reps)]
 
 
-def _maybe_svg(config, out_dir, averaged: dict, filenames: list) -> None:
-    if not config.svg:
-        return
-    from .svg import curve_chart
-
-    _write_text(os.path.join(out_dir, "curves.svg"), curve_chart(averaged))
-    filenames.append("curves.svg")
-
-
 # -- run paths: each picks its outputs over the replica pipeline -----------
 
 def run_generate(config: ExperimentConfig) -> RunManifest:
     """Emit raw replica graphs (edge + color files) plus generation stats."""
     t0 = time.perf_counter()
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(config.out_dir, exist_ok=True)
     outcomes = _replicas(config, (), keep="files")
-    _write_text(
-        os.path.join(out_dir, "stats.csv"), _stats_csv([o.stats for o in outcomes])
-    )
-    filenames = ["stats.csv"]
-    filenames += [f"edges_{i:04d}.tsv" for i in range(config.reps)]
-    filenames += [f"colors_{i:04d}.tsv" for i in range(config.reps)]
-    return _manifest("generate", config, _seeds(config), t0, out_dir, filenames)
+    texts = {"stats.csv": _stats_csv([o.stats for o in outcomes])}
+    written = [name for outcome in outcomes for name in outcome.files]
+    return _finish("generate", config, _seeds(config), t0, texts, written)
 
 
 def run_rank(config: ExperimentConfig) -> tuple[list, Optional[list]]:
@@ -379,17 +374,14 @@ def run_synthetic(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     ``manifest.json``. Returns (averaged curves, manifest, all-converged).
     """
     t0 = time.perf_counter()
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(config.out_dir, exist_ok=True)
     averaged, outcomes = _curves(config, _algo_specs(config))
     averaged = dict(zip(config.algos, averaged))
-    _write_text(os.path.join(out_dir, "curves.csv"), curve_compare(averaged))
-    _write_text(
-        os.path.join(out_dir, "stats.csv"), _stats_csv([o.stats for o in outcomes])
-    )
-    filenames = ["curves.csv", "stats.csv"]
-    _maybe_svg(config, out_dir, averaged, filenames)
-    manifest = _manifest("curve", config, _seeds(config), t0, out_dir, filenames)
+    texts = {
+        "curves.csv": curve_compare(averaged),
+        "stats.csv": _stats_csv([o.stats for o in outcomes]),
+    }
+    manifest = _finish("curve", config, _seeds(config), t0, texts, curves=averaged)
     return averaged, manifest, _converged(outcomes)
 
 
@@ -401,29 +393,20 @@ def run_real(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     CCDFs, and the node-id mapping.
     """
     t0 = time.perf_counter()
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(config.out_dir, exist_ok=True)
     curves, outcomes = _curves(config, _algo_specs(config))
     curves = dict(zip(config.algos, curves))
     g, labels = outcomes[0].loaded
-
-    summary = [
-        "key,value",
-        f"nodes,{g.n}",
-        f"edges,{g.n_edges}",
-        f"minority_fraction,{_fmt(minority_fraction(g))}",
-        f"hri,{_fmt(hri(g))}",
-    ]
-    _write_text(os.path.join(out_dir, "curves.csv"), curve_compare(curves))
-    _write_text(os.path.join(out_dir, "summary.csv"), "\n".join(summary) + "\n")
-    _write_text(
-        os.path.join(out_dir, "ccdf.csv"),
-        ccdf_csv(ccdf_by_color(g, config.degree_which)),
-    )
-    write_node_mapping(os.path.join(out_dir, "node_mapping.tsv"), labels)
-    filenames = ["curves.csv", "summary.csv", "ccdf.csv", "node_mapping.tsv"]
-    _maybe_svg(config, out_dir, curves, filenames)
-    manifest = _manifest("real", config, [], t0, out_dir, filenames)
+    mapping = "node_mapping.tsv"
+    write_node_mapping(os.path.join(config.out_dir, mapping), labels)
+    summary = (("nodes", "edges", "minority_fraction", "hri"),
+               (g.n, g.n_edges, minority_fraction(g), hri(g)))
+    texts = {
+        "curves.csv": curve_compare(curves),
+        "summary.csv": table(summary, header="key,value"),
+        "ccdf.csv": ccdf_csv(ccdf_by_color(g, config.degree_which)),
+    }
+    manifest = _finish("real", config, [], t0, texts, [mapping], curves)
     return curves, manifest, _converged(outcomes)
 
 
@@ -443,9 +426,8 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, R
     if axis == "rho" and config.mode == "real":
         raise ValueError("rho sweeps a generation parameter; needs synthetic mode")
     t0 = time.perf_counter()
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []  # (value text, algo, curve)
+    os.makedirs(config.out_dir, exist_ok=True)
+    rows = []  # (value, algo, curve)
     seeds: list[int] = []
     converged = True
 
@@ -453,7 +435,7 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, R
         for value in values:
             sub = dataclasses.replace(config, homophily=float(value))
             averaged, outcomes = _curves(sub, _algo_specs(sub))
-            rows += [(_fmt(value), algo, c) for algo, c in zip(sub.algos, averaged)]
+            rows += [(float(value), algo, c) for algo, c in zip(sub.algos, averaged)]
             seeds += _seeds(sub)
             converged = converged and _converged(outcomes)
     else:
@@ -461,16 +443,13 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, R
             ("subspace", dataclasses.replace(config, k=int(value))) for value in values
         )
         averaged, outcomes = _curves(config, specs)
-        rows = [(repr(int(v)), "subspace", c) for v, c in zip(values, averaged)]
+        rows = [(int(v), "subspace", c) for v, c in zip(values, averaged)]
         # every value averages the same replicas, and the manifest says so
         seeds = _seeds(config) * len(values)
         converged = _converged(outcomes)
 
-    lines = ["axis,value,algo,x,share,baseline"]
-    for value_txt, algo, curve in rows:
-        for x, s in zip(curve.grid.tolist(), curve.share.tolist()):
-            lines.append(f"{axis},{value_txt},{algo},{x!r},{s!r},{curve.baseline!r}")
-    text = "\n".join(lines) + "\n"
-    _write_text(os.path.join(out_dir, "sweep.csv"), text)
-    manifest = _manifest(f"sweep:{axis}", config, seeds, t0, out_dir, ["sweep.csv"])
+    text = table(*((repeat(axis), repeat(value), repeat(algo), *curve_columns(curve))
+                   for value, algo, curve in rows),
+                 header="axis,value,algo,x,share,baseline")
+    manifest = _finish(f"sweep:{axis}", config, seeds, t0, {"sweep.csv": text})
     return text, manifest, converged

@@ -9,17 +9,20 @@ statistical-parity sense when the curve hugs the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graph import Color
+from .io import table
 
 __all__ = [
     "FairnessCurve",
     "log_grid",
     "minority_share_curve",
     "parity_gap",
+    "curve_columns",
     "curve_compare",
     "average_curves",
 ]
@@ -106,6 +109,11 @@ def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(np.all(np.abs(a - b) <= _GRID_MATCH_TOL))
 
 
+def curve_columns(curve: FairnessCurve) -> tuple:
+    """The ``x,share,baseline`` columns of one curve in a long-format table."""
+    return curve.grid.tolist(), curve.share.tolist(), repeat(curve.baseline)
+
+
 def curve_compare(curves: Mapping[str, FairnessCurve]) -> str:
     """Long-format CSV ``algo,x,share,baseline`` over one shared grid.
 
@@ -119,11 +127,8 @@ def curve_compare(curves: Mapping[str, FairnessCurve]) -> str:
     for name, curve in items[1:]:
         if not _same_grid(ref, curve.grid):
             raise ValueError(f"curve {name!r} is on a different grid")
-    lines = ["algo,x,share,baseline"]
-    for name, curve in items:
-        for x, s in zip(curve.grid.tolist(), curve.share.tolist()):
-            lines.append(f"{name},{x!r},{s!r},{curve.baseline!r}")
-    return "\n".join(lines) + "\n"
+    return table(*((repeat(name), *curve_columns(curve)) for name, curve in items),
+                 header="algo,x,share,baseline")
 
 
 def average_curves(curves: Sequence[FairnessCurve]) -> FairnessCurve:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class Color(IntEnum):
             raise GraphError(f"unknown color {token!r}: expected R or B") from None
 
 
-ColorSpec = Union[Mapping[int, Color], Sequence[Color], np.ndarray]
+ColorSpec = Union[Sequence[Color], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -100,29 +100,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _coerce_colors(colors: ColorSpec) -> np.ndarray:
-    if isinstance(colors, Mapping):
-        n = len(colors)
-        out = np.full(n, 255, dtype=np.uint8)
-        for node, color in colors.items():
-            node = int(node)
-            if not 0 <= node < n:
-                raise GraphError(
-                    f"color map keys must be dense ids 0..{n - 1}, got {node}"
-                )
-            out[node] = int(color)
-        # dense keys + in-range check above imply every slot was written,
-        # unless a duplicate key masked a missing one
-        if np.any(out == 255):
-            missing = int(np.flatnonzero(out == 255)[0])
-            raise GraphError(f"no color given for node {missing}")
-        return out
-    arr = np.asarray(colors)
-    if arr.ndim != 1 or arr.size == 0:
-        raise GraphError("colors must be a non-empty 1-d sequence or mapping")
-    return arr.astype(np.uint8)
-
-
 def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
     """Build a validated graph from ``(src, dst)`` pairs and per-node colors.
 
@@ -130,7 +107,7 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
     ----------
     edges : iterable of (int, int) or (m, 2) array
         Directed edges over dense node ids. Parallel edges are kept.
-    colors : mapping or sequence
+    colors : sequence or array
         Color for every node ``0..n-1``; ``n`` is taken from its length.
         Isolated nodes are allowed (color given, no incident edge).
 
@@ -147,7 +124,10 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
         raise GraphError("edges must be (src, dst) pairs")
     edge_arr = edge_arr.astype(np.int64, copy=False)
 
-    color_arr = _coerce_colors(colors)
+    color_arr = np.asarray(colors)
+    if color_arr.ndim != 1 or color_arr.size == 0:
+        raise GraphError("colors must be a non-empty 1-d sequence")
+    color_arr = color_arr.astype(np.uint8)
     n = int(color_arr.shape[0])
     if not np.all((color_arr == Color.B) | (color_arr == Color.R)):
         raise GraphError("colors must be Color.R or Color.B")

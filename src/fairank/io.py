@@ -1,4 +1,4 @@
-"""Reading and writing the on-disk graph formats.
+"""Reading and writing files: the graph formats, and every output table.
 
 Edge lists are tab-separated ``src<TAB>dst`` lines; color files are
 ``node<TAB>R`` / ``node<TAB>B``. Blank lines are ignored in both, and a
@@ -6,12 +6,18 @@ Edge lists are tab-separated ``src<TAB>dst`` lines; color files are
 that runs to the end of the line; a ``#`` inside a label is kept. Node
 labels may be arbitrary strings; they are remapped to dense ids in
 color-file order and the mapping can be written back out.
+
+Every text file the package writes goes through :func:`write_text`, and
+every table in it through :func:`table`: fields are ``"{}"``-formatted
+Python values, so a float is written as its shortest round-trip repr, and
+lines end in ``\\n`` on every platform.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator, Sequence
+import sys
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +30,13 @@ __all__ = [
     "write_edge_list",
     "write_color_file",
     "write_node_mapping",
+    "table",
+    "write_text",
 ]
+
+# edges formatted per slice by write_edge_list: only one slice of the
+# endpoint arrays is ever held as Python ints
+_SLICE = 1 << 16
 
 
 def _drop_comment(line: str) -> str:
@@ -97,24 +109,52 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     return from_edge_list(edges, color_arr), list(color_map)
 
 
-def _label(labels: Sequence[str] | None, node: int) -> str:
-    return str(node) if labels is None else labels[node]
+def table(*blocks: Sequence, header: Optional[str] = None, sep: str = ",") -> str:
+    """The text of a table: the ``header`` line, if given, then one line per
+    row of each block, a block being a sequence of columns.
+
+    Columns hold Python values (``ndarray.tolist()``), each written by
+    ``"{}"``: an int as its digits, a float as its shortest round-trip
+    repr. A block ends with its shortest column, so a constant column can
+    be an ``itertools.repeat``.
+    """
+    parts = [] if header is None else [header + "\n"]
+    for columns in blocks:
+        fmt = sep.join(["{}"] * len(columns)) + "\n"
+        parts += map(fmt.format, *columns)
+    return "".join(parts)
+
+
+def write_text(path, text: Union[str, Iterable[str]]) -> None:
+    """Write ``text``, one string or an iterable of chunks, to ``path`` with
+    ``\\n`` line endings, or to stdout when ``path`` is None or ``-``."""
+    chunks = (text,) if isinstance(text, str) else text
+    if path is None or path == "-":
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
 
 
 def write_edge_list(path, g: ColoredDigraph, labels: Sequence[str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s, d in zip(g.src.tolist(), g.dst.tolist()):
-            fh.write(f"{_label(labels, s)}\t{_label(labels, d)}\n")
+    """Write ``src<TAB>dst`` lines, formatting ``_SLICE`` edges at a time."""
+
+    def slices():
+        for lo in range(0, g.n_edges, _SLICE):
+            ends = [g.src[lo:lo + _SLICE].tolist(), g.dst[lo:lo + _SLICE].tolist()]
+            if labels is not None:
+                ends = [[labels[node] for node in ids] for ids in ends]
+            yield table(ends, sep="\t")
+
+    write_text(path, slices())
 
 
 def write_color_file(path, g: ColoredDigraph, labels: Sequence[str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for node, c in enumerate(g.colors.tolist()):
-            fh.write(f"{_label(labels, node)}\t{Color(c).name}\n")
+    nodes = range(g.n) if labels is None else labels
+    names = [color.name for color in Color]  # indexed by color value
+    write_text(path, table((nodes, map(names.__getitem__, g.colors.tolist())), sep="\t"))
 
 
 def write_node_mapping(path, labels: Sequence[str]) -> None:
     """Write ``id<TAB>original_label`` lines recording the dense remapping."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for node, label in enumerate(labels):
-            fh.write(f"{node}\t{label}\n")
+    write_text(path, table((range(len(labels)), labels), sep="\t"))

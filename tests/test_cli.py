@@ -508,6 +508,35 @@ def test_config_file_supplies_defaults_flags_override(tmp_path):
     assert manifest["config"]["algos"] == ["degree", "hits"]
 
 
+@pytest.mark.parametrize("spelling", [["--conf", "{}"], ["--config={}"], ["--con={}"]])
+def test_config_file_read_under_every_spelling_argparse_takes(tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 2\nnodes = 50\nalgos = degree\n")
+    out = tmp_path / "out"
+    flags = [token.format(cfg) for token in spelling]
+    assert run_cli("curve", *flags, "--seed", "6", "--out-dir", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["reps"] == 2 and manifest["config"]["n_nodes"] == 50
+
+
+def test_ambiguous_abbreviation_is_not_read_as_config(dataset, capsys):
+    edges, colors = dataset
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rank", "--edges", edges, "--co", colors)
+    assert exc.value.code == 1
+    assert "ambiguous option: --co could match --config, --colors" in capsys.readouterr().err
+
+
+def test_option_before_the_subcommand_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reps = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--config", str(cfg), "curve", "--out-dir", str(tmp_path))
+    assert exc.value.code == 1
+    assert "comes before every option" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_config_file_unknown_key_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("warp_speed = 9\n")

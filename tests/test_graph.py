@@ -60,11 +60,6 @@ def test_arrays_are_immutable():
         g.src[0] = 3
 
 
-def test_color_mapping_input():
-    g = from_edge_list(EDGES, {i: c for i, c in enumerate(COLORS)})
-    assert np.array_equal(g.colors, np.array(COLORS, dtype=np.uint8))
-
-
 def test_from_edge_list_validation():
     with pytest.raises(GraphError, match="empty"):
         from_edge_list([], COLORS)
@@ -76,8 +71,6 @@ def test_from_edge_list_validation():
         from_edge_list([(-1, 1)], COLORS)
     with pytest.raises(GraphError, match="Color.R or Color.B"):
         from_edge_list([(0, 1)], [0, 7])
-    with pytest.raises(GraphError, match="dense ids"):
-        from_edge_list([(0, 1)], {0: Color.R, 2: Color.B})
 
 
 def test_minority_fraction():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fairank.io
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.io import (
@@ -141,6 +142,25 @@ def test_load_graph_keeps_no_label_table(tmp_path):
         tracemalloc.stop()
     assert loaded.n_edges == g.n_edges
     assert peak / g.n_edges <= 120
+
+
+def test_write_edge_list_holds_one_slice_of_the_endpoints(tmp_path, monkeypatch):
+    # the endpoints become Python ints one slice at a time, so the peak
+    # follows the slice, not the edge count; both lists at once would cost
+    # ~80 bytes per edge. A small slice keeps the traced write quick
+    monkeypatch.setattr(fairank.io, "_SLICE", 4096)
+    rng = np.random.default_rng(5)
+    g = from_edge_list(rng.integers(0, 50_000, size=(60_000, 2)),
+                       rng.integers(0, 2, size=50_000))
+    tracemalloc.start()
+    try:
+        write_edge_list(tmp_path / "e.tsv", g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = "".join(f"{s}\t{d}\n" for s, d in zip(g.src.tolist(), g.dst.tolist()))
+    assert (tmp_path / "e.tsv").read_text() == expected
+    assert peak / g.n_edges <= 20
 
 
 def test_load_graph_empty_inputs(tmp_path):
