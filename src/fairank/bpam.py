@@ -7,6 +7,13 @@ its target with probability proportional to current total degree; a target
 of the opposite color is kept only with probability ``homophily``,
 otherwise the draw is rejected and restarted. Degrees update after every
 accepted edge, so later draws within the same arrival see the new edges.
+
+The edges are not grown one at a time. Edge e draws a uniform slot of the
+endpoint list below 2e, the endpoints of the edges before it, and rejected
+draws never grow that list. So every pending edge draws at once, and a draw
+that lands on a target not yet known waits for it: the targets resolve in
+vectorized rounds, with the same law as the process above (Batagelj and
+Brandes, Phys. Rev. E 71, 036113, 2005).
 """
 
 from __future__ import annotations
@@ -25,13 +32,11 @@ __all__ = ["BpamParams", "GenerationStats", "generate"]
 # same-color targets always acceptable.
 MAX_CONSECUTIVE_REJECTIONS = 10_000_000
 
-_UNIFORM_BLOCK = 8192
-
-
-def _uniforms(rng: np.random.Generator):
-    """The generator's one stream of uniforms, drawn from ``rng`` in blocks."""
-    while True:
-        yield from rng.random(_UNIFORM_BLOCK).tolist()
+# Edges join the pending set in windows that grow by a quarter a round, and
+# by at least this many edges. The draws of a new window then mostly land
+# on targets already known, so few edges wait and the pending arrays stay
+# a fraction of the edge count.
+_MIN_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -108,48 +113,13 @@ def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationS
         target, so the graph has no self-loops.
     """
     n, d = params.n_nodes, params.outdeg
-    r, rho = params.minority_ratio, params.homophily
+    rng = np.random.Generator(np.random.PCG64(seed))
+    colors = np.empty(n, dtype=np.uint8)
+    colors[:2] = (Color.R, Color.B)
+    colors[2:] = np.where(rng.random(n - 2) < params.minority_ratio, Color.R, Color.B)
+    edges, rejections = _attach(n, d, colors, params.homophily, rng)
 
-    draw = _uniforms(np.random.Generator(np.random.PCG64(seed))).__next__
-
-    colors = [int(Color.R), int(Color.B)]
-
-    # the edges as (source, target) in arrival order; it also holds every
-    # node once per unit of total degree, so a uniform index into it is a
-    # degree-proportional draw
-    ep = [0, 1]
-
-    rejections = 0
-
-    for u in range(2, n):
-        cu = int(Color.R) if draw() < r else int(Color.B)
-        colors.append(cu)
-
-        for _ in range(d):
-            streak = 0
-            while True:
-                slot = int(draw() * len(ep))
-                v = ep[slot] if slot < len(ep) else ep[-1]
-                if v == u:
-                    # the arrival already holds accepted endpoints; skip
-                    # rather than create a self-loop
-                    streak += 1
-                elif colors[v] != cu:
-                    # drawn even at rho = 0, which keeps the stream's order
-                    if draw() < rho:
-                        break
-                    rejections += 1
-                    streak += 1
-                else:
-                    break
-                if streak >= MAX_CONSECUTIVE_REJECTIONS:
-                    raise RuntimeError(
-                        "edge draw exceeded the rejection cap; "
-                        "homophily filter cannot be satisfied"
-                    )
-            ep += (u, v)
-
-    graph = from_edge_list(np.array(ep, dtype=np.int64).reshape(-1, 2), colors)
+    graph = from_edge_list(edges, colors)
     red = graph.is_red()
     n_red = int(np.count_nonzero(red))
     return graph, GenerationStats(
@@ -159,3 +129,71 @@ def generate(params: BpamParams, seed: int) -> tuple[ColoredDigraph, GenerationS
         n_blue=n - n_red,
         seed=int(seed),
     )
+
+
+def _attach(
+    n: int, d: int, colors: np.ndarray, rho: float, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """Every edge's target, resolved in rounds.
+
+    Returns the ``(m, 2)`` int64 edges and the number of rejected
+    cross-color draws.
+    """
+    m = 1 + (n - 2) * d
+    itype = np.int32 if 2 * m < 2**31 else np.int64
+    # the endpoint list: slot 2e is the source of edge e, known from its
+    # arrival, and slot 2e + 1 its target, -1 until resolved. A uniform slot
+    # below 2e is a degree-proportional draw for edge e
+    ep = np.full((m, 2), -1, dtype=itype)
+    ep[0] = (0, 1)
+    ep[1:, 0] = np.repeat(np.arange(2, n, dtype=itype), d)
+    ep = ep.reshape(-1)
+
+    # the admitted, unresolved edges, aligned with their drawn slots (-1 to
+    # draw again) and their failed draws so far
+    pend = slot = streak = np.empty(0, dtype=itype)
+    admitted, rejections = 1, 0
+    while pend.size or admitted < m:
+        if admitted < m:
+            window = np.arange(
+                admitted, min(m, admitted + max(admitted // 4, _MIN_WINDOW)), dtype=itype
+            )
+            admitted += window.size
+            pend = np.concatenate([pend, window])
+            slot = np.concatenate([slot, np.full(window.size, -1, dtype=itype)])
+            streak = np.concatenate([streak, np.zeros(window.size, dtype=itype)])
+
+        fresh = np.flatnonzero(slot < 0)
+        two_e = 2 * pend[fresh]
+        drawn = (rng.random(fresh.size) * two_e).astype(itype)
+        # U * 2e can round up to 2e in floating point
+        slot[fresh] = np.minimum(drawn, two_e - 1, out=drawn)
+
+        # a slot holding an unresolved target keeps its draw and waits
+        v = ep[slot]
+        ready = np.flatnonzero(v >= 0)
+        e, v = pend[ready], v[ready]
+        u = (e - 1) // d + 2
+        # a draw of u itself is redrawn, and a cross-color candidate is kept
+        # with probability rho; only those candidates draw for it
+        failed = v == u
+        cross = np.flatnonzero(colors[v] != colors[u])
+        rejected = cross[rng.random(cross.size) >= rho]
+        failed[rejected] = True
+        rejections += rejected.size
+
+        accepted = ~failed
+        ep[2 * e[accepted] + 1] = v[accepted]
+        again = ready[failed]
+        slot[again] = -1
+        streak[again] += 1
+        if again.size and streak[again].max() >= MAX_CONSECUTIVE_REJECTIONS:
+            raise RuntimeError(
+                "edge draw exceeded the rejection cap; "
+                "homophily filter cannot be satisfied"
+            )
+        keep = np.ones(pend.size, dtype=bool)
+        keep[ready[accepted]] = False
+        pend, slot, streak = pend[keep], slot[keep], streak[keep]
+
+    return ep.reshape(m, 2).astype(np.int64), rejections

@@ -146,7 +146,7 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
 
     return ColoredDigraph(
         n=n,
-        colors=_freeze(color_arr.copy()),
+        colors=_freeze(color_arr),
         src=_freeze(src),
         dst=_freeze(dst),
         indeg=_freeze(indeg),

@@ -3,7 +3,8 @@
 Everything here recomputes quantities from first principles with dense
 numpy/scipy routines (eigendecompositions, linear solves, brute-force
 enumeration) so that test expectations never share code paths with the
-implementations under test.
+implementations under test. The one exception is ``sequential_bpam``, the
+package's earlier generator kept as the reference for the round-based one.
 """
 
 from collections import defaultdict
@@ -11,6 +12,9 @@ from collections import defaultdict
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+
+from fairank.bpam import MAX_CONSECUTIVE_REJECTIONS, GenerationStats
+from fairank.graph import Color, from_edge_list
 
 
 def dense_adjacency(edges, n):
@@ -215,3 +219,73 @@ def leading_share_curve(order, is_red, grid):
         top = int(np.ceil(x * n - 1e-9))
         out.append(sum(1 for v in order[:top] if is_red[v]) / top)
     return np.array(out)
+
+
+_UNIFORM_BLOCK = 8192
+
+
+def _uniforms(rng: np.random.Generator):
+    """The generator's one stream of uniforms, drawn from ``rng`` in blocks."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
+def sequential_bpam(params, seed):
+    """The BPAM growth process run edge by edge, one uniform stream in order.
+
+    The package's generator before it resolved edges in vectorized rounds,
+    kept unchanged: the same law, another draw order, so it pins the graphs
+    of the ranker tests and is the second sample of the two-sample tests.
+    """
+    n, d = params.n_nodes, params.outdeg
+    r, rho = params.minority_ratio, params.homophily
+
+    draw = _uniforms(np.random.Generator(np.random.PCG64(seed))).__next__
+
+    colors = [int(Color.R), int(Color.B)]
+
+    # the edges as (source, target) in arrival order; it also holds every
+    # node once per unit of total degree, so a uniform index into it is a
+    # degree-proportional draw
+    ep = [0, 1]
+
+    rejections = 0
+
+    for u in range(2, n):
+        cu = int(Color.R) if draw() < r else int(Color.B)
+        colors.append(cu)
+
+        for _ in range(d):
+            streak = 0
+            while True:
+                slot = int(draw() * len(ep))
+                v = ep[slot] if slot < len(ep) else ep[-1]
+                if v == u:
+                    # the arrival already holds accepted endpoints; skip
+                    # rather than create a self-loop
+                    streak += 1
+                elif colors[v] != cu:
+                    # drawn even at rho = 0, which keeps the stream's order
+                    if draw() < rho:
+                        break
+                    rejections += 1
+                    streak += 1
+                else:
+                    break
+                if streak >= MAX_CONSECUTIVE_REJECTIONS:
+                    raise RuntimeError(
+                        "edge draw exceeded the rejection cap; "
+                        "homophily filter cannot be satisfied"
+                    )
+            ep += (u, v)
+
+    graph = from_edge_list(np.array(ep, dtype=np.int64).reshape(-1, 2), colors)
+    red = graph.is_red()
+    n_red = int(np.count_nonzero(red))
+    return graph, GenerationStats(
+        alpha_hat=int(graph.degrees()[red].sum()) / (2.0 * n * d),
+        rejection_count=rejections,
+        n_red=n_red,
+        n_blue=n - n_red,
+        seed=int(seed),
+    )

@@ -1,10 +1,13 @@
 """Generator tests: determinism, degree bookkeeping, color mixing."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+import fairank.bpam
 import oracles
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, hri, minority_fraction
@@ -66,36 +69,75 @@ def test_homophily_one_is_color_blind():
     g, stats = generate(BpamParams(2000, 6, 0.3, 1.0), seed=BASE_SEED)
     assert stats.rejection_count == 0
     cross = np.count_nonzero(g.colors[g.src] != g.colors[g.dst]) / g.n_edges
-    # random-coloring expectation 2 r (1 - r) = 0.42; frozen seed gives .4214
+    # random-coloring expectation 2 r (1 - r) = 0.42; frozen seed gives .4065
     assert cross == pytest.approx(0.42, abs=0.02)
 
 
 def test_edge_targets_follow_exact_law():
-    # With d = 1, arrival u draws its one target v with probability
-    # proportional to deg(v) * w(v): deg counts the endpoints of the earlier
-    # edges, and w is 1 for u's color and rho otherwise, since a rejected
-    # cross-color draw restarts. Checked per (u, v) over many seeds.
-    n, rho, reps = 6, 0.25, 3000
-    expected = np.zeros((n, n))
-    variance = np.zeros((n, n))
-    observed = np.zeros((n, n))
-    same_color_seed = 0
-    for seed in range(reps):
-        g, _ = generate(BpamParams(n, 1, 0.3, rho), seed=seed)
-        for u in range(2, n):
-            earlier = np.concatenate([g.src[: u - 1], g.dst[: u - 1]])
-            weight = np.bincount(earlier, minlength=n) * np.where(
-                g.colors == g.colors[u], 1.0, rho
-            )
-            p = weight / weight.sum()
-            expected[u] += p
-            variance[u] += p * (1 - p)
-            observed[u, g.dst[u - 1]] += 1
-        same_color_seed += int(g.colors[g.dst[1]] == g.colors[2])
-    assert np.all(np.abs(observed - expected) <= 4 * np.sqrt(variance) + 1e-9)
-    # the third node's edge hits the same-color seed with probability 1/(1+rho)
-    p_same = 1 / (1 + rho)
-    assert abs(same_color_seed - reps * p_same) <= 4 * np.sqrt(reps * p_same * (1 - p_same))
+    # Edge e from arrival u draws its target v with probability proportional
+    # to deg(v) * w(v) over v != u: deg counts every endpoint of the edges
+    # before e, the arrival's own earlier edges too, and w is 1 for u's color
+    # and rho otherwise, since a rejected cross-color draw restarts. Checked
+    # per (e, v) over many seeds, with one edge per arrival and with two, so
+    # that a later edge must see the earlier one and skip u
+    rho, reps = 0.25, 3000
+    for n, d in ((6, 1), (5, 2)):
+        m = 1 + (n - 2) * d
+        expected = np.zeros((m, n))
+        variance = np.zeros((m, n))
+        observed = np.zeros((m, n))
+        same_color_seed = 0
+        for seed in range(reps):
+            g, _ = generate(BpamParams(n, d, 0.3, rho), seed=seed)
+            for e in range(1, m):
+                u = g.src[e]
+                earlier = np.concatenate([g.src[:e], g.dst[:e]])
+                weight = np.bincount(earlier, minlength=n) * np.where(
+                    g.colors == g.colors[u], 1.0, rho
+                )
+                weight[u] = 0.0
+                p = weight / weight.sum()
+                expected[e] += p
+                variance[e] += p * (1 - p)
+                observed[e, g.dst[e]] += 1
+            same_color_seed += int(g.colors[g.dst[1]] == g.colors[2])
+        assert np.all(np.abs(observed - expected) <= 4 * np.sqrt(variance) + 1e-9), d
+        # the third node's first edge hits the same-color seed with
+        # probability 1/(1+rho)
+        p_same = 1 / (1 + rho)
+        assert abs(same_color_seed - reps * p_same) <= 4 * np.sqrt(
+            reps * p_same * (1 - p_same)
+        ), d
+
+
+def _replica_statistics(make, seeds):
+    """Per replica: alpha_hat, rejections per edge, and the in-degree CCDF of
+    each color at k = 1, 2, 4, ..., 32."""
+    ks = 2 ** np.arange(6)
+    rows = []
+    for seed in seeds:
+        g, stats = make(seed)
+        red = g.colors == Color.R
+        ccdf = [np.mean(g.indeg[mask][:, None] >= ks, axis=0) for mask in (red, ~red)]
+        rows.append([stats.alpha_hat, stats.rejection_count / g.n_edges, *np.concatenate(ccdf)])
+    return np.array(rows)
+
+
+def test_generator_matches_the_sequential_oracle_across_replicas():
+    # the rounds must give the sequential growth process's law, not only its
+    # per-edge marginals: two samples of independent replicas, disjoint
+    # seeds, compared statistic by statistic
+    params = BpamParams(400, 4, 0.3, 0.2)
+    reps = 150
+    ours = _replica_statistics(lambda s: generate(params, seed=s),
+                               range(BASE_SEED, BASE_SEED + reps))
+    theirs = _replica_statistics(lambda s: oracles.sequential_bpam(params, s),
+                                 range(BASE_SEED + reps, BASE_SEED + 2 * reps))
+    for col in range(2):  # alpha_hat and rejections per edge, whole distribution
+        assert ks_2samp(ours[:, col], theirs[:, col]).pvalue > 1e-3, col
+    se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / reps)
+    diff = np.abs(ours.mean(axis=0) - theirs.mean(axis=0))
+    assert np.all(diff <= 4 * se + 1e-12), diff / np.maximum(se, 1e-12)
 
 
 def test_parameter_validation():
@@ -152,10 +194,11 @@ def _graph_sha256(g, stats):
     return h.hexdigest()
 
 
-# SHA-256 of src, dst, colors and repr(stats). Each case draws past the
-# first block of uniforms (8,192 draws): about 17.3k and 16.8k for the two
-# n=1000 seeds, 20.5k at rho = 0 (every cross-colour target still spends an
-# acceptance draw) and 10.5k at rho = 1
+# SHA-256 of src, dst, colors and repr(stats) from the sequential generator
+# the package used before its targets resolved in rounds. Each case draws
+# past the first block of uniforms (8,192 draws): about 17.3k and 16.8k for
+# the two n=1000 seeds, 20.5k at rho = 0 (every cross-colour target still
+# spends an acceptance draw) and 10.5k at rho = 1
 @pytest.mark.parametrize("n, d, rho, seed, digest", [
     (1000, 6, 0.1, 1, "886b59d601b62c32e0a32848c787fe48fe2ba2881c0bb3924e0f08678bb38e90"),
     (1000, 6, 0.1, 2, "667336d376468cbb5f1fba61e71398a324ac694bac01a1c5152fa33b0769055d"),
@@ -163,5 +206,42 @@ def _graph_sha256(g, stats):
     (2000, 3, 1.0, 1, "bc97399f5e5ca5be431cabcf40ccdfaabb999774accb91c2012c46d73dbe0602"),
 ])
 def test_generator_output_is_pinned_across_uniform_blocks(n, d, rho, seed, digest):
+    g, stats = oracles.sequential_bpam(BpamParams(n, d, 0.3, rho), seed=seed)
+    assert _graph_sha256(g, stats) == digest
+
+
+# the same cases from the round-based generator; it draws in another order,
+# so its graphs differ from the sequential ones for the same seed
+@pytest.mark.parametrize("n, d, rho, seed, digest", [
+    (1000, 6, 0.1, 1, "e43fe3169a1699c06f19b326c2b5ec15e9757084818e9ceffa9c09597e86f48a"),
+    (1000, 6, 0.1, 2, "a4f791bf61f7c8a65d4369a48b470d47c19a3a30e401513707d37e6a956edfac"),
+    (2000, 3, 0.0, 1, "66b82f86a07ee27faf355f3a7c5f4c1fbe94372c420315557583af44652d4e94"),
+    (2000, 3, 1.0, 1, "832aef5f5ac48e1f7dc873ce034571f6b1e97e2bf3d5c3c27285b3ab6c8400df"),
+])
+def test_generator_output_is_pinned(n, d, rho, seed, digest):
     g, stats = generate(BpamParams(n, d, 0.3, rho), seed=seed)
     assert _graph_sha256(g, stats) == digest
+
+
+def test_generate_peak_memory_per_edge():
+    # int32 rounds over a window of pending edges, and one int64 edge array
+    # at the end; the sequential generator's list of Python ints peaked at
+    # ~62 bytes per edge
+    tracemalloc.start()
+    try:
+        g, _ = generate(BpamParams(20_000, 6, 0.3, 0.1), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n_edges <= 56
+
+
+def test_rejection_cap_raises(monkeypatch):
+    # a streak counts rejected cross-color draws and self-loop redraws alike
+    monkeypatch.setattr(fairank.bpam, "MAX_CONSECUTIVE_REJECTIONS", 3)
+    message = "edge draw exceeded the rejection cap; homophily filter cannot be satisfied"
+    with pytest.raises(RuntimeError, match=message):
+        generate(BpamParams(200, 3, 0.3, 0.0), seed=1)
+    monkeypatch.setattr(fairank.bpam, "MAX_CONSECUTIVE_REJECTIONS", 1)
+    with pytest.raises(RuntimeError, match=message):
+        generate(BpamParams(200, 6, 0.3, 1.0), seed=1)

@@ -55,79 +55,79 @@ def _argv(case, out, edges, colors):
 GOLDEN = {
     "generate": {
         "colors_0000.tsv":
-            "381463d423d9c6d9a90ed59c8f78e82cc091ec366f281cdfe6b51d93c336e767",
+            "c12cf9c5d8dda3b4c3825c20f3d3e49c14d3e5486453abc8c13858cd2802ad94",
         "colors_0001.tsv":
-            "ade795b6b918d50ff7490b32e42e7cc8f030995b2281c394275b358f101b86ed",
+            "faee62190f7896419784b5e8a4839f1efa4a4c4a1e465dc1bc0847309f8d419e",
         "edges_0000.tsv":
-            "9c3a0ff3fc48e9a7b398db4127b1cad9450a0a95357a94ad71f492b07b9b1adc",
+            "ed24eddeb86899d3ff84a9df74b075f12f5a7a1a704e828814ac42122b461990",
         "edges_0001.tsv":
-            "ddffaa84b3e9483858aa9fd8224ef9c8574af91b68161383d9967b29e15518e5",
+            "fe8fac6a0b499381e750f75792684e44655f1b8e3798312e96c0508c29337dd0",
         "manifest.json":
-            "2acd07afde6ae8bff907f82018758d1141191bd6dd5ffd57cd3d791412f83423",
+            "b119676c83ec98a35f4310731f99c7ef4b1695f85a221a2fd278c0529e01e250",
         "stats.csv":
-            "092493a9440b3ffca0d0f2d49b67b66d75a2d83e86ea1a1aa0ae1b60a403b3af",
+            "de56a5a239884b4e9658398a137ce8d5be346d9498a20543cd60c46e3233886f",
     },
     "curve": {
         "curves.csv":
-            "303a5f3ffaaf3420dc1c8bba852a4c1a89ae51a36ecba1ccd25cfe26bd15fbe3",
+            "67fc74cf49b51e07ac09051b22a91f8ffc4a90231205ed808f962bd6fca5f084",
         "curves.svg":
-            "0955826b471ca4080a44b28258ac41934e515200c77bf278d0b151a2b4500a5a",
+            "452673fa2ead3156ab82b1d47854f6e613ebb56064a5a08e6648b3b55934b701",
         "manifest.json":
-            "d8c2e9eec4975bbc0aec1147a2e949cb32ce84147963cf7cabf6c7896b1eceac",
+            "934cb3f9186c688c11af00f5bf254a3f3586d547aab9a7834b475ca1b40399fe",
         "stats.csv":
-            "02be2c8a4fc90f33b956f7957eceb5ebef34e0f3b8528cb86b6c5dbb1622f60d",
+            "3adf936536b1fe50a2b2fd8b6bb299c734d7bc08017a757d651928e46a26681f",
     },
     "curve_tie_shuffle": {
         "curves.csv":
-            "cc7250742402b18f9cc713fde6a7d123558670aef14ed19e90d92a38c7322463",
+            "259629799dd50b2c60e3120e5af4c4233c07dc58e7a3d2eea7c5ec7b7887a971",
         "manifest.json":
-            "6c360251089ba43595019b1946574cafdb813ac36f8feaded0add2c6bffeb08e",
+            "3f3552b64919ab2fa70add6070293d6eb74e84c4c2982a0de516b69e4effb222",
         "stats.csv":
-            "02be2c8a4fc90f33b956f7957eceb5ebef34e0f3b8528cb86b6c5dbb1622f60d",
+            "3adf936536b1fe50a2b2fd8b6bb299c734d7bc08017a757d651928e46a26681f",
     },
     "real": {
         "ccdf.csv":
-            "15fd813cd769526466a2f9ff4d855b9e854d46f22d035cf3d17531d279d0e25f",
+            "311e3bbbf474331fd0e476a54100740e5f20ac17f076b43a935e205a62a8b42b",
         "curves.csv":
-            "0878d7b5175bdd3119e7ffabc0b3506e35a51248f05c0ea50cd238542796fe51",
+            "002e9797880f49201286f1d0241fe1e581cc41483cde935a798340e0c51f6751",
         "curves.svg":
-            "79fc92c57b4f7fb060cdaba14d3f63f6c3fccc51942bbbdca2c0123f363b07d7",
+            "4daf301c6b289a76a7172481c390b194bf74458e73abe09cb6234e4ca28aa2d8",
         "manifest.json":
-            "8393736e9419e9d1aa3893816968fc6f6d0ad0a90ae65a4736b3d1679fe448e2",
+            "67b95ace93c5d44ce56e198d555117dc830ab628c2463e648d6484b5f8252619",
         "node_mapping.tsv":
             "1f686e1dfc8dbcf4829b927a2c894df0a9c8512d0384f29a7d6fe39b7687b13d",
         "summary.csv":
-            "1441aa5e071f5db2d6546adf81a417f685eb97cc7476731342e69015df600f96",
+            "28dec1bdfa5f5e2dbeebeb249bfbfd19f4a2da7a84b0cd426bc385926f6753a3",
     },
     "rank_synthetic": {
         "ranking.csv":
-            "1c1bdadd3d90952f10ae8b817a0b625354020f59542d81cc12d6dd816f7813b4",
+            "51681f0f39abf9dc63ed793bcd84235ec16ad93fe19881d86dd8543300e9b840",
     },
     "rank_synthetic_degree": {
         "ranking.csv":
-            "8f61f5c2bd15f4b379b77a40099c2329066dd8405ce90c9c79979f92371a2229",
+            "653e12acdfd6dac7bba40a986ac23d7dd81292fbe2cfce1eecd560dcac95e1d9",
     },
     "rank_files": {
         "ranking.csv":
-            "68245932b3880886efa4aeb4ea61f1c41e0debc28d1ff338a782988cfea12eea",
+            "e39cc59bab75762409837ea9ae6957f00e9c602d07dd60e9581cd8d3fb4aab48",
     },
     "sweep_rho": {
         "manifest.json":
-            "498667bd3f9661c018e65e480f27608fe7541cde39bd47195c6857791c9974f0",
+            "ab287aa96f2562867d343231916d21ea20923762e2278d97eb175af4954d9b56",
         "sweep.csv":
-            "8ec927d83baace6cdd4630860ee5286007386d0a2a8bc66035cc21662eec345e",
+            "057322a2ca7c74cb4ac106fbc36d2ba0a3c6e934e07ceec025d38370a58328a8",
     },
     "sweep_k": {
         "manifest.json":
-            "ee64bdc43c5ad5bd994bb186942a037c4524126424344abc85bb4151fbef5017",
+            "69492e3b72653394f9cba7bc895c5ce8d96c57fbf2f2573982f1a2b274e89dc3",
         "sweep.csv":
-            "f96f9df4b7c85de64e67764e18c99c07328a5ba0173f765222cae8d5542b41a2",
+            "373dcc911ecf2e6cc838b71a3d1e5a73abb2cd65ecb4758ca2695d896c08a8a8",
     },
     "sweep_k_files": {
         "manifest.json":
-            "39e6aa583154816a22dd134a81a225f946b7977a6fe6f80f39792351c591f532",
+            "bcc1f149c627b21ca07007c84c0a0b4b17acc7b0223699c8732dc09608287eed",
         "sweep.csv":
-            "8a0670188d8f63b375c6365374494a25df62055bb1bd05a2b39a53370b78c4ff",
+            "703656ec1fa345abdee0cfb187eb89d3ab4a37a19aaa82dbbdcd6b1516d32a52",
     },
     "meanfield": {
         "mf.csv":
