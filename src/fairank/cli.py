@@ -16,7 +16,6 @@ under ``--strict``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -76,16 +75,6 @@ def _threads(flag) -> int:
 
 # -- the option table ---------------------------------------------------------
 
-_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-_FROM_FIELD = object()  # an _Option's default: its field's default, else None
-
-
-def _algos(flag) -> tuple:
-    """``--algos`` as given, else the ExperimentConfig default. The flag
-    defaults to None so that ``sweep --axis k`` can tell it was given."""
-    return _FIELD_DEFAULTS["algos"] if flag is None else tuple(flag)
-
-
 @dataclass(frozen=True)
 class _Option:
     """One command-line option, declared once.
@@ -93,11 +82,12 @@ class _Option:
     ``type`` is ``str``, ``int`` or ``float`` for a single value, ``bool``
     for a switch, and ``list`` for one or more words. ``field`` names the
     ExperimentConfig field the option sets, through ``to_field`` when the
-    flag's spelling differs; the default is then that field's default
-    unless ``default`` says otherwise. Options without a field are read by
-    the subcommand itself. The table drives the parser, the building of
-    ExperimentConfig, and the keys (the flag with ``_`` for ``-``) and
-    value types of ``--config`` files.
+    flag's spelling differs. An absent option parses to ``default``, which
+    is None on every option but ``--algo``, and a None sets no field: the
+    field default of ExperimentConfig is the only default. Options without
+    a field are read by the subcommand itself. The table drives the parser,
+    the building of ExperimentConfig, and the keys (the flag with ``_`` for
+    ``-``) and value types of ``--config`` files.
     """
 
     flag: str
@@ -106,7 +96,7 @@ class _Option:
     type: type = str
     field: Optional[str] = None
     to_field: Optional[Callable] = None
-    default: object = _FROM_FIELD
+    default: object = None
     choices: Optional[Sequence] = None
     required: str = ""  # subcommands where the option must be given
     metavar: Optional[str] = None
@@ -116,19 +106,14 @@ class _Option:
         return self.flag[2:].replace("-", "_")
 
     def add_to(self, parser, command: str, require: bool = True) -> None:
-        if self.type is bool:
-            parser.add_argument(self.flag, action="store_true", help=self.help)
-            return
-        default = self.default
-        if default is _FROM_FIELD:
-            default = _FIELD_DEFAULTS.get(self.field)
-        kwargs = dict(default=default, choices=self.choices, help=self.help,
-                      metavar=self.metavar,
+        kwargs = dict(default=self.default, help=self.help,
                       required=require and command in self.required.split())
-        if self.type is list:
-            kwargs["nargs"] = "+"
+        if self.type is bool:
+            kwargs["action"] = "store_true"
+        elif self.type is list:
+            kwargs.update(nargs="+", choices=self.choices, metavar=self.metavar)
         else:
-            kwargs["type"] = self.type
+            kwargs.update(type=self.type, choices=self.choices, metavar=self.metavar)
         parser.add_argument(self.flag, **kwargs)
 
 
@@ -147,27 +132,25 @@ _OPTIONS = (
     _Option("--threads", _GRAPHS,
             "worker processes for replicas (default: FAIRANK_THREADS or 1); "
             "rank and real have one graph and accept only 1",
-            type=int, field="threads", to_field=_threads, default=None),
+            type=int, field="threads"),
     _Option("--strict", _RANKING,
             "exit with status 3 when any iterative ranker fails to converge",
             type=bool),
-    _Option("--nodes", _BPAM, "node count N", type=int, field="n_nodes", default=None),
-    _Option("--outdeg", _BPAM, "edges per arriving node", type=int, field="outdeg",
-            default=None),
+    _Option("--nodes", _BPAM, "node count N", type=int, field="n_nodes"),
+    _Option("--outdeg", _BPAM, "edges per arriving node", type=int, field="outdeg"),
     _Option("--minority-ratio", _BPAM, "red arrival probability", type=float,
-            field="minority_ratio", default=None),
+            field="minority_ratio"),
     _Option("--homophily", _BPAM, "cross-color acceptance probability", type=float,
-            field="homophily", default=None),
+            field="homophily"),
     _Option("--seed", _BPAM, "base seed; replica i uses seed + i", type=int,
             field="base_seed"),
-    _Option("--reps", "generate curve sweep", "replica count", type=int, field="reps",
-            default=None),
+    _Option("--reps", "generate curve sweep", "replica count", type=int, field="reps"),
     _Option("--edges", "rank real sweep", "edge list file (src<TAB>dst)",
             field="edge_file", required="real"),
     _Option("--colors", "rank real sweep", "color file (node<TAB>R|B)",
             field="color_file", required="real"),
     _Option("--algos", _CURVES, "algorithms to compare", type=list, field="algos",
-            to_field=_algos, default=None, choices=ALGORITHMS),
+            to_field=tuple, choices=ALGORITHMS),
     _Option("--algo", "rank", "algorithm to rank with", field="algos",
             to_field=lambda algo: (algo,), default="hits", choices=ALGORITHMS),
     _Option("--eta", _RANKING, "random-surfer damping", type=float, field="eta"),
@@ -198,8 +181,7 @@ _OPTIONS = (
 
 
 # options that only shape generated graphs: a graph read from --edges and
-# --colors has none of them to set, so they are rejected there. They parse
-# to None when not given, and the field default then holds
+# --colors has none of them to set, so they are rejected there
 _GENERATED_ONLY = ("--nodes", "--outdeg", "--minority-ratio", "--homophily", "--reps")
 
 
@@ -264,20 +246,18 @@ def _config_argv(command: str, path: str) -> list[str]:
 
 # -- subcommand implementations ---------------------------------------------
 
-def _config(args, **fixed) -> ExperimentConfig:
+def _config(args) -> ExperimentConfig:
     """ExperimentConfig from the options the subcommand took; a field whose
-    option it does not take, or that parsed to None, keeps its default
-    unless ``fixed`` sets it. A graph from files sets real mode."""
+    option it does not take, or that parsed to None, keeps its default.
+    ``--threads`` alone falls back to FAIRANK_THREADS first."""
     values = vars(args)
-    fields = dict(fixed)
+    if "threads" in values:
+        values["threads"] = _threads(values["threads"])
+    fields = {}
     for opt in _options_of(args.command):
         value = values[opt.dest]
-        if opt.to_field is not None:
-            fields[opt.field] = opt.to_field(value)
-        elif opt.field is not None and value is not None:
-            fields[opt.field] = value
-    if fields.get("edge_file") is not None:
-        fields["mode"] = "real"
+        if opt.field is not None and value is not None:
+            fields[opt.field] = value if opt.to_field is None else opt.to_field(value)
     return ExperimentConfig(**fields)
 
 
@@ -305,8 +285,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_real(args) -> int:
-    # a dataset is one replica
-    _, _, all_converged = run_real(_config(args, reps=1))
+    _, _, all_converged = run_real(_config(args))
     return _strict_exit(args, all_converged, "some rankers did not converge")
 
 

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -83,14 +83,15 @@ DEFAULT_REPS = 100
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment.
+    """Everything needed to reproduce one experiment, defaults included.
 
-    ``mode`` selects synthetic generation (BPAM parameters) or a real
-    dataset (edge + color files). Per-algorithm knobs apply to whichever
-    algorithms in ``algos`` consume them.
+    ``edge_file`` with ``color_file`` is a real dataset, one replica; without
+    them the BPAM fields give ``reps`` graphs. ``mode`` records which ("real"
+    or "synthetic") and is derived, not an argument. Per-algorithm knobs
+    apply to whichever algorithms in ``algos`` consume them.
     """
 
-    mode: str = "synthetic"
+    mode: str = field(init=False)
     # synthetic
     n_nodes: int = 1000
     outdeg: int = 6
@@ -119,8 +120,11 @@ class ExperimentConfig:
     svg: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("synthetic", "real"):
-            raise ValueError("mode must be 'synthetic' or 'real'")
+        if (self.edge_file is None) != (self.color_file is None):
+            raise ValueError("edge_file and color_file must be given together")
+        object.__setattr__(self, "mode", "synthetic" if self.edge_file is None else "real")
+        if self.mode == "real":  # a loaded graph is one replica
+            object.__setattr__(self, "reps", 1)
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if self.threads < 1:
@@ -128,8 +132,6 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if self.mode == "real" and (self.edge_file is None or self.color_file is None):
-            raise ValueError("real mode needs edge_file and color_file")
 
     def bpam_params(self) -> BpamParams:
         return BpamParams(self.n_nodes, self.outdeg, self.minority_ratio, self.homophily)
@@ -225,10 +227,16 @@ def ccdf_csv(per_color: dict) -> str:
     return table(*blocks, header="color,k,ccdf")
 
 
+def _csv_field(label: str) -> str:
+    """A label as one CSV field, quoted as RFC 4180 says if it holds a comma or a quote."""
+    quoted = "," in label or '"' in label
+    return '"' + label.replace('"', '""') + '"' if quoted else label
+
+
 def ranking_csv(result: RankingResult, labels=None) -> str:
     """CSV ``node,score,rank`` sorted by rank (best first)."""
     order = result.order.tolist()
-    nodes = order if labels is None else [labels[node] for node in order]
+    nodes = order if labels is None else [_csv_field(labels[node]) for node in order]
     scores = result.scores[result.order].tolist()
     return table((nodes, scores, range(1, len(order) + 1)), header="node,score,rank")
 
@@ -314,8 +322,7 @@ def _fan_out(config: ExperimentConfig, jobs: list) -> list:
 
 def _replicas(config: ExperimentConfig, specs: tuple, keep: str = "curves") -> list:
     """Every replica of ``config``'s graph source, in replica order."""
-    count = config.reps if config.mode == "synthetic" else 1
-    return _fan_out(config, [_Replica(config, i, specs, keep) for i in range(count)])
+    return _fan_out(config, [_Replica(config, i, specs, keep) for i in range(config.reps)])
 
 
 def _curves(config: ExperimentConfig, specs: tuple) -> tuple[list, list]:

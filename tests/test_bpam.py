@@ -226,7 +226,9 @@ def test_generator_output_is_pinned(n, d, rho, seed, digest):
 def test_generate_peak_memory_per_edge():
     # int32 rounds over a window of pending edges, and one int64 edge array
     # at the end; the sequential generator's list of Python ints peaked at
-    # ~62 bytes per edge
+    # ~62 bytes per edge. A small run first makes the one-time allocations,
+    # so the peak does not depend on which tests ran before
+    generate(BpamParams(100, 3, 0.3, 0.1), seed=1)
     tracemalloc.start()
     try:
         g, _ = generate(BpamParams(20_000, 6, 0.3, 0.1), seed=3)

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, schemas, config files, determinism."""
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import fairank.experiments
+from fairank import cli
 from fairank.bpam import BpamParams, generate
 from fairank.cli import main
 from fairank.experiments import ExperimentConfig, compute_ranking
@@ -159,6 +162,21 @@ def test_rank_real_uses_labels(dataset, tmp_path, capsys):
     scores = [float(r.split(",")[1]) for r in lines[1:]]
     assert abs(sum(scores) - 1.0) < 1e-9
     assert scores == sorted(scores, reverse=True)
+
+
+def test_rank_quotes_labels_that_hold_a_comma_or_quote(tmp_path):
+    (tmp_path / "e.tsv").write_text('a,b\td"e\nplain\ta,b\n')
+    (tmp_path / "c.tsv").write_text('a,b\tR\nd"e\tB\nplain\tB\n')
+    out = tmp_path / "ranks.csv"
+    assert run_cli("rank", "--edges", str(tmp_path / "e.tsv"), "--colors",
+                   str(tmp_path / "c.tsv"), "--algo", "degree", "--out", str(out)) == 0
+    text = out.read_text()
+    assert '\n"a,b",' in text and '\n"d""e",' in text and "\nplain," in text
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["node", "score", "rank"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["a,b", 'd"e', "plain"]
 
 
 def test_rank_strict_nonconvergence_exits_three(capsys):
@@ -482,6 +500,44 @@ def test_real_sweep_k_loads_the_files_once(dataset, tmp_path, monkeypatch):
                    "--colors", colors, "--grid-points", "8",
                    "--out-dir", str(tmp_path)) == 0
     assert len(calls) == 1
+
+
+def test_real_sweep_k_records_one_replica(dataset, tmp_path):
+    edges, colors = dataset
+    assert run_cli("sweep", "--axis", "k", "--values", "1,2", "--edges", edges,
+                   "--colors", colors, "--grid-points", "8",
+                   "--out-dir", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["reps"] == 1
+    assert manifest["config"]["mode"] == "real"
+    assert manifest["seeds"] == []
+
+
+# -- option defaults -------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_default_is_declared_once(command, dataset, monkeypatch):
+    # with only its required options, a subcommand's config is
+    # ExperimentConfig's defaults: the option table declares none of its own
+    monkeypatch.delenv("FAIRANK_THREADS", raising=False)
+    edges, colors = dataset
+    required = {"real": ["--edges", edges, "--colors", colors],
+                "sweep": ["--axis", "k", "--values", "1"]}.get(command, [])
+    expected = ExperimentConfig()
+    if command == "real":
+        expected = ExperimentConfig(edge_file=edges, color_file=colors)
+    if command == "rank":  # --algo keeps its own default
+        expected = dataclasses.replace(expected, algos=("hits",))
+    assert cli._config(cli._build_parser(command).parse_args(required)) == expected
+
+
+def test_config_file_list_and_mapped_values_reach_the_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algos = degree hits\nweight = lambda2\n")
+    argv = cli._config_argv("curve", str(cfg)) + ["--config", str(cfg)]
+    config = cli._config(cli._build_parser("curve").parse_args(argv))
+    assert config.algos == ("degree", "hits")
+    assert config.weight == "lambda_sq"
 
 
 # -- config file and environment -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Replica orchestration, CSV schemas, and manifest bookkeeping."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -28,7 +29,7 @@ B, R = Color.B, Color.R
 
 def small_config(tmp_path, **overrides):
     base = dict(
-        mode="synthetic", n_nodes=60, outdeg=3, minority_ratio=0.3,
+        n_nodes=60, outdeg=3, minority_ratio=0.3,
         homophily=0.5, reps=3, base_seed=7, algos=("degree", "hits"),
         grid_points=12, out_dir=str(tmp_path),
     )
@@ -37,16 +38,42 @@ def small_config(tmp_path, **overrides):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="mode"):
-        ExperimentConfig(mode="imaginary")
     with pytest.raises(ValueError, match="reps"):
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError, match="threads"):
         ExperimentConfig(threads=0)
     with pytest.raises(ValueError, match="unknown algorithm"):
         ExperimentConfig(algos=("degree", "mystery"))
-    with pytest.raises(ValueError, match="edge_file and color_file"):
+    for one_file in ({"edge_file": "e.tsv"}, {"color_file": "c.tsv"}):
+        with pytest.raises(ValueError, match="must be given together"):
+            ExperimentConfig(**one_file)
+    # the graph source follows from the files, so it is not an argument
+    with pytest.raises(TypeError, match="mode"):
         ExperimentConfig(mode="real")
+
+
+def test_config_derives_graph_source_and_replica_count_from_files():
+    assert ExperimentConfig().mode == "synthetic"
+    assert ExperimentConfig().reps == 100
+    real = ExperimentConfig(edge_file="e.tsv", color_file="c.tsv", reps=5)
+    assert (real.mode, real.reps) == ("real", 1)
+    assert dataclasses.asdict(real)["mode"] == "real"  # manifests keep the key
+    assert dataclasses.replace(real, k=2).mode == "real"
+
+
+def test_file_pair_alone_makes_run_real_rank_the_files(tmp_path):
+    # a graph no BPAM replica of the config could be: 5 nodes, 3 edges
+    g = from_edge_list([(0, 1), (2, 1), (3, 4)], [R, B, B, R, B])
+    write_edge_list(tmp_path / "e.tsv", g)
+    write_color_file(tmp_path / "c.tsv", g)
+    config = ExperimentConfig(edge_file=str(tmp_path / "e.tsv"),
+                              color_file=str(tmp_path / "c.tsv"),
+                              algos=("degree",), out_dir=str(tmp_path))
+    curves, manifest, _ = run_real(config)
+    summary = (tmp_path / "summary.csv").read_text().split("\n")
+    assert summary[1:3] == ["nodes,5", "edges,3"]
+    assert curves["degree"].baseline == 0.4
+    assert manifest.seeds == [] and manifest.config["reps"] == 1
 
 
 def test_config_derived_objects():
@@ -161,7 +188,7 @@ def test_run_real_summary_matches_graph(tmp_path):
     write_edge_list(tmp_path / "e.tsv", g)
     write_color_file(tmp_path / "c.tsv", g)
     config = small_config(
-        tmp_path, mode="real",
+        tmp_path,
         edge_file=str(tmp_path / "e.tsv"), color_file=str(tmp_path / "c.tsv"),
     )
     curves, manifest, _ = run_real(config)
@@ -196,7 +223,7 @@ def test_run_real_two_clique_toy_hits_buries_minority(tmp_path):
     write_edge_list(tmp_path / "e.tsv", g)
     write_color_file(tmp_path / "c.tsv", g)
     config = small_config(
-        tmp_path, mode="real", algos=("degree", "hits"),
+        tmp_path, algos=("degree", "hits"),
         edge_file=str(tmp_path / "e.tsv"), color_file=str(tmp_path / "c.tsv"),
     )
     curves, _, _ = run_real(config)
@@ -215,7 +242,7 @@ def test_run_real_rejects_single_color(tmp_path):
     write_edge_list(tmp_path / "e.tsv", g)
     write_color_file(tmp_path / "c.tsv", g)
     config = small_config(
-        tmp_path, mode="real",
+        tmp_path,
         edge_file=str(tmp_path / "e.tsv"), color_file=str(tmp_path / "c.tsv"),
     )
     with pytest.raises(GraphError, match="single color"):
@@ -248,8 +275,6 @@ def test_sweep_validation(tmp_path):
         sweep(config, "outdeg", [1])
     with pytest.raises(ValueError, match="empty sweep"):
         sweep(config, "k", [])
-    real = small_config(
-        tmp_path, mode="real", edge_file="e.tsv", color_file="c.tsv"
-    )
+    real = small_config(tmp_path, edge_file="e.tsv", color_file="c.tsv")
     with pytest.raises(ValueError, match="needs synthetic mode"):
         sweep(real, "rho", [0.5])

@@ -125,7 +125,7 @@ GOLDEN = {
     },
     "sweep_k_files": {
         "manifest.json":
-            "bcc1f149c627b21ca07007c84c0a0b4b17acc7b0223699c8732dc09608287eed",
+            "9e2af9926f4d69879a3a0cee6e22c714fef91102bfb825b2775d9d259f7590c8",
         "sweep.csv":
             "703656ec1fa345abdee0cfb187eb89d3ab4a37a19aaa82dbbdcd6b1516d32a52",
     },
