@@ -74,7 +74,7 @@ class BpamParams:
         if self.minority_ratio > 0.5:
             warnings.warn(
                 "minority_ratio above 0.5: the red class is not a minority",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__
             )
 
 

@@ -16,7 +16,6 @@ under ``--strict``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -57,20 +56,6 @@ class CliParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _threads(flag) -> int:
-    """Worker processes: ``--threads``, else FAIRANK_THREADS, else 1."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get("FAIRANK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GraphError(f"FAIRANK_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise GraphError("FAIRANK_THREADS must be at least 1")
-    return value
 
 
 # -- the option table ---------------------------------------------------------
@@ -130,8 +115,8 @@ _OPTIONS = (
             field="out_dir"),
     _Option("--out", "rank " + _ANALYTIC, "output file (default stdout)"),
     _Option("--threads", _GRAPHS,
-            "worker processes for replicas (default: FAIRANK_THREADS or 1); "
-            "rank and real have one graph and accept only 1",
+            "worker processes for replicas; rank and real have one graph "
+            "and accept only 1",
             type=int, field="threads"),
     _Option("--strict", _RANKING,
             "exit with status 3 when any iterative ranker fails to converge",
@@ -249,10 +234,8 @@ def _config_argv(command: str, path: str) -> list[str]:
 def _config(args) -> ExperimentConfig:
     """ExperimentConfig from the options the subcommand took; a field whose
     option it does not take, or that parsed to None, keeps its default.
-    ``--threads`` alone falls back to FAIRANK_THREADS first."""
+    Raises ValueError, from ExperimentConfig, on an invalid setting."""
     values = vars(args)
-    if "threads" in values:
-        values["threads"] = _threads(values["threads"])
     fields = {}
     for opt in _options_of(args.command):
         value = values[opt.dest]
@@ -268,24 +251,24 @@ def _strict_exit(args, converged: bool, message: str) -> int:
     return EXIT_OK
 
 
-def _cmd_generate(args) -> int:
-    run_generate(_config(args))
+def _cmd_generate(args, config) -> int:
+    run_generate(config)
     return EXIT_OK
 
 
-def _cmd_rank(args) -> int:
-    (result,), labels = run_rank(_config(args))
+def _cmd_rank(args, config) -> int:
+    (result,), labels = run_rank(config)
     write_text(args.out, ranking_csv(result, labels))
     return _strict_exit(args, result.converged, "did not converge within --max-iter")
 
 
-def _cmd_curve(args) -> int:
-    _, _, all_converged = run_synthetic(_config(args))
+def _cmd_curve(args, config) -> int:
+    _, _, all_converged = run_synthetic(config)
     return _strict_exit(args, all_converged, "some replicas did not converge")
 
 
-def _cmd_real(args) -> int:
-    _, _, all_converged = run_real(_config(args))
+def _cmd_real(args, config) -> int:
+    _, _, all_converged = run_real(config)
     return _strict_exit(args, all_converged, "some rankers did not converge")
 
 
@@ -295,7 +278,7 @@ def _points(args) -> list[tuple[float, float]]:
     return [(args.r, args.rho)]
 
 
-def _cmd_meanfield(args) -> int:
+def _cmd_meanfield(args, config) -> int:
     rows = []
     for r, rho in _points(args):
         rep = mean_field_report(r, rho)
@@ -310,7 +293,7 @@ def _cmd_meanfield(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, config) -> int:
     rows = [(r, rho, check.name, check.mode, "true" if check.passed else "false",
              check.margin)
             for r, rho in _points(args)
@@ -321,12 +304,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    _, _, all_converged = sweep(_config(args), args.axis, args.values)
+def _cmd_sweep(args, config) -> int:
+    _, _, all_converged = sweep(config, args.axis, args.values)
     return _strict_exit(args, all_converged, "some runs did not converge")
 
 
-# subcommand -> (implementation, help line)
+# subcommand -> (implementation(args, ExperimentConfig or None), help line)
 _COMMANDS = {
     "generate": (_cmd_generate, "emit raw replica graphs with stats"),
     "rank": (_cmd_rank, "rank one graph, CSV node,score,rank"),
@@ -364,7 +347,6 @@ def main(argv=None) -> int:
     if command in ("rank", "real"):
         if threads not in (None, 1):
             parser.error(f"--threads: {command} ranks one graph, so only 1 is accepted")
-        args.threads = 1  # nothing to fan out, so FAIRANK_THREADS does not apply
     if values.get("edges") is not None or values.get("colors") is not None:
         if values["edges"] is None or values["colors"] is None:
             parser.error("--edges and --colors must be given together")
@@ -393,8 +375,12 @@ def main(argv=None) -> int:
                          f"comma-separated {cast.__name__} values")
         if not args.values:
             parser.error("--values is empty")
+    try:  # the run's settings are checked before any work starts
+        config = _config(args) if command in _GRAPHS.split() else None
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
-        return _COMMANDS[command][0](args)
+        return _COMMANDS[command][0](args, config)
     except (GraphError, ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"fairank {command}: error: {exc}\n")
         return EXIT_DATA

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .bpam import BpamParams, GenerationStats, generate
 from .fairness import (
@@ -40,7 +38,6 @@ from .graph import (
     ColoredDigraph,
     GraphError,
     ccdf_by_color,
-    degree_ccdf,
     hri,
     minority_fraction,
 )
@@ -66,9 +63,7 @@ from .rankers import (
 __all__ = [
     "ALGORITHMS",
     "ExperimentConfig",
-    "RunManifest",
     "compute_ranking",
-    "averaged_ccdf",
     "run_generate",
     "run_rank",
     "run_synthetic",
@@ -88,7 +83,8 @@ class ExperimentConfig:
     ``edge_file`` with ``color_file`` is a real dataset, one replica; without
     them the BPAM fields give ``reps`` graphs. ``mode`` records which ("real"
     or "synthetic") and is derived, not an argument. Per-algorithm knobs
-    apply to whichever algorithms in ``algos`` consume them.
+    apply to whichever algorithms in ``algos`` consume them. An invalid
+    setting raises ValueError here, before a run starts.
     """
 
     mode: str = field(init=False)
@@ -132,6 +128,9 @@ class ExperimentConfig:
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        self.ctrl()  # IterationControl and BpamParams check their own fields
+        if self.mode == "synthetic":
+            self.bpam_params()
 
     def bpam_params(self) -> BpamParams:
         return BpamParams(self.n_nodes, self.outdeg, self.minority_ratio, self.homophily)
@@ -141,18 +140,6 @@ class ExperimentConfig:
 
     def replica_seed(self, index: int) -> int:
         return self.base_seed + index
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record emitted next to the outputs."""
-
-    command: str
-    config: dict
-    seeds: list
-    version: str
-    wall_clock_sec: float
-    file_hashes: dict
 
 
 def compute_ranking(g: ColoredDigraph, algo: str, config: ExperimentConfig) -> RankingResult:
@@ -179,11 +166,11 @@ def _hash_file(path) -> str:
     return digest.hexdigest()
 
 
-def _finish(command, config, seeds, t0, texts: dict, written=(), curves=None) -> RunManifest:
+def _finish(command, config, seeds, t0, texts: dict, written=(), curves=None) -> dict:
     """End a run in ``config.out_dir``: write ``texts`` (file name -> text)
-    and, under ``config.svg``, the chart of ``curves``. Then write the
-    manifest, which hashes those files and the ones named in ``written``,
-    which the run wrote itself."""
+    and, under ``config.svg``, the chart of ``curves``. Then write and
+    return the manifest, which hashes those files and the ones named in
+    ``written``, which the run wrote itself, as ``json.load`` reads it."""
     out_dir = config.out_dir
     if config.svg and curves:
         from .svg import curve_chart
@@ -191,33 +178,18 @@ def _finish(command, config, seeds, t0, texts: dict, written=(), curves=None) ->
         texts = {**texts, "curves.svg": curve_chart(curves)}
     for name, text in texts.items():
         write_text(os.path.join(out_dir, name), text)
-    manifest = RunManifest(
-        command=command,
-        config=dataclasses.asdict(config),
-        seeds=list(seeds),
-        version=__version__,
-        wall_clock_sec=time.perf_counter() - t0,
-        file_hashes={name: _hash_file(os.path.join(out_dir, name))
-                     for name in sorted([*texts, *written])},
-    )
-    payload = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True)
+    manifest = {
+        "command": command,
+        "config": dataclasses.asdict(config),
+        "seeds": list(seeds),
+        "version": __version__,
+        "wall_clock_sec": time.perf_counter() - t0,
+        "file_hashes": {name: _hash_file(os.path.join(out_dir, name))
+                        for name in sorted([*texts, *written])},
+    }
+    payload = json.dumps(manifest, indent=2, sort_keys=True)
     write_text(os.path.join(out_dir, "manifest.json"), payload + "\n")
-    return manifest
-
-
-def averaged_ccdf(
-    graphs: Sequence[ColoredDigraph], color: Color, which: str = "total"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replica-mean CCDF for one color on a shared degree grid 0..max."""
-    degs = [g.degrees(which)[g.colors == int(color)] for g in graphs]
-    if not degs or any(d.size == 0 for d in degs):
-        raise GraphError(f"color {Color(color).name} missing from some replica")
-    kmax = max(int(d.max()) for d in degs)
-    acc = np.zeros(kmax + 1)  # a replica's CCDF is 0 past its own max degree
-    for d in degs:
-        ccdf = degree_ccdf(d)[1]
-        acc[:ccdf.size] += ccdf
-    return np.arange(kmax + 1, dtype=np.int64), acc / len(degs)
+    return json.loads(payload)  # tuples in the config read back as lists
 
 
 def ccdf_csv(per_color: dict) -> str:
@@ -352,7 +324,7 @@ def _seeds(config: ExperimentConfig) -> list[int]:
 
 # -- run paths: each picks its outputs over the replica pipeline -----------
 
-def run_generate(config: ExperimentConfig) -> RunManifest:
+def run_generate(config: ExperimentConfig) -> dict:
     """Emit raw replica graphs (edge + color files) plus generation stats."""
     t0 = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
@@ -374,7 +346,7 @@ def run_rank(config: ExperimentConfig) -> tuple[list, Optional[list]]:
     return outcome.outputs, labels
 
 
-def run_synthetic(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
+def run_synthetic(config: ExperimentConfig) -> tuple[dict, dict, bool]:
     """Replica-averaged fairness curves for every configured algorithm.
 
     Writes ``curves.csv`` (long format), ``stats.csv`` (per replica), and
@@ -392,7 +364,7 @@ def run_synthetic(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     return averaged, manifest, _converged(outcomes)
 
 
-def run_real(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
+def run_real(config: ExperimentConfig) -> tuple[dict, dict, bool]:
     """Single-pass analysis of a loaded dataset.
 
     Emits the same curve schema as synthetic runs plus summary stats
@@ -417,7 +389,7 @@ def run_real(config: ExperimentConfig) -> tuple[dict, RunManifest, bool]:
     return curves, manifest, _converged(outcomes)
 
 
-def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, RunManifest, bool]:
+def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, dict, bool]:
     """Curve sets across a swept parameter.
 
     ``axis="rho"`` regenerates synthetic replicas per homophily value;

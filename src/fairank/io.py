@@ -24,7 +24,6 @@ import numpy as np
 from .graph import Color, ColoredDigraph, GraphError, from_edge_list
 
 __all__ = [
-    "read_edge_list",
     "read_color_file",
     "load_graph",
     "write_edge_list",
@@ -62,11 +61,6 @@ def _records(path, form: str) -> Iterator[tuple[int, str, str]]:
             if len(fields) != 2:
                 raise GraphError(f"{path}:{lineno}: expected '{form}'")
             yield lineno, fields[0].strip(), fields[1].strip()
-
-
-def read_edge_list(path) -> list[tuple[str, str]]:
-    """Parse ``src<TAB>dst`` lines into label pairs (labels kept as text)."""
-    return [(src, dst) for _, src, dst in _records(path, "src<TAB>dst")]
 
 
 def read_color_file(path) -> dict[str, Color]:
@@ -136,23 +130,22 @@ def write_text(path, text: Union[str, Iterable[str]]) -> None:
         fh.writelines(chunks)
 
 
-def write_edge_list(path, g: ColoredDigraph, labels: Sequence[str] | None = None) -> None:
-    """Write ``src<TAB>dst`` lines, formatting ``_SLICE`` edges at a time."""
+def write_edge_list(path, g: ColoredDigraph) -> None:
+    """Write ``src<TAB>dst`` lines of dense node ids, formatting ``_SLICE``
+    edges at a time. A loaded graph's labels go to :func:`write_node_mapping`."""
 
     def slices():
         for lo in range(0, g.n_edges, _SLICE):
-            ends = [g.src[lo:lo + _SLICE].tolist(), g.dst[lo:lo + _SLICE].tolist()]
-            if labels is not None:
-                ends = [[labels[node] for node in ids] for ids in ends]
-            yield table(ends, sep="\t")
+            yield table((g.src[lo:lo + _SLICE].tolist(), g.dst[lo:lo + _SLICE].tolist()),
+                        sep="\t")
 
     write_text(path, slices())
 
 
-def write_color_file(path, g: ColoredDigraph, labels: Sequence[str] | None = None) -> None:
-    nodes = range(g.n) if labels is None else labels
+def write_color_file(path, g: ColoredDigraph) -> None:
+    """Write ``node<TAB>R|B`` lines, one per dense node id."""
     names = [color.name for color in Color]  # indexed by color value
-    write_text(path, table((nodes, map(names.__getitem__, g.colors.tolist())), sep="\t"))
+    write_text(path, table((range(g.n), map(names.__getitem__, g.colors.tolist())), sep="\t"))
 
 
 def write_node_mapping(path, labels: Sequence[str]) -> None:

@@ -68,15 +68,14 @@ def _alpha_map(a: float, r: float, rho: float) -> float:
     )
 
 
-def solve_alpha(
-    r: float, rho: float, tol: float = ALPHA_TOL, max_iter: int = ALPHA_MAX_ITER
-) -> float:
+def solve_alpha(r: float, rho: float) -> float:
     """Red share of edge endpoints: fixed point of the self-consistency map.
 
     Solved by damped fixed-point iteration (damping 0.5) from the arrival
-    ratio ``r``. The boundary cases ``rho in {0, 1}`` and
-    ``r in {0, 0.5, 1}`` collapse analytically to ``alpha = r`` and are
-    short-circuited (the raw map can divide 0/0 there).
+    ratio ``r`` until the map moves ``alpha`` by less than ``ALPHA_TOL``,
+    or ArithmeticError after ``ALPHA_MAX_ITER`` steps. The boundary cases
+    ``rho in {0, 1}`` and ``r in {0, 0.5, 1}`` collapse analytically to
+    ``alpha = r`` and are short-circuited (the raw map can divide 0/0 there).
 
     The returned value satisfies the power inequality ``alpha <= r``.
     """
@@ -84,9 +83,9 @@ def solve_alpha(
     if rho in (0.0, 1.0) or r in (0.0, 0.5, 1.0):
         return float(r)
     a = r
-    for _ in range(max_iter):
+    for _ in range(ALPHA_MAX_ITER):
         fa = _alpha_map(a, r, rho)
-        if abs(fa - a) < tol:
+        if abs(fa - a) < ALPHA_TOL:
             return a
         a += _DAMPING * (fa - a)
     raise ArithmeticError("edge-share fixed point did not converge")

@@ -3,8 +3,10 @@
 Everything here recomputes quantities from first principles with dense
 numpy/scipy routines (eigendecompositions, linear solves, brute-force
 enumeration) so that test expectations never share code paths with the
-implementations under test. The one exception is ``sequential_bpam``, the
-package's earlier generator kept as the reference for the round-based one.
+implementations under test. The exceptions are ``sequential_bpam``, the
+package's earlier generator kept as the reference for the round-based one,
+and ``averaged_ccdf``, a replica mean of the package's ``degree_ccdf``
+(itself checked against ``exhaustive_ccdf``) for acceptance criterion 8.
 """
 
 from collections import defaultdict
@@ -14,7 +16,7 @@ import scipy.linalg
 import scipy.optimize
 
 from fairank.bpam import MAX_CONSECUTIVE_REJECTIONS, GenerationStats
-from fairank.graph import Color, from_edge_list
+from fairank.graph import Color, GraphError, degree_ccdf, from_edge_list
 
 
 def dense_adjacency(edges, n):
@@ -145,6 +147,19 @@ def exhaustive_ccdf(degrees):
     ks = np.arange(kmax + 1)
     ccdf = np.array([sum(1 for d in degrees if d >= k) / len(degrees) for k in ks])
     return ks, ccdf
+
+
+def averaged_ccdf(graphs, color, which="total"):
+    """Replica-mean CCDF for one color on a shared degree grid 0..max."""
+    degs = [g.degrees(which)[g.colors == int(color)] for g in graphs]
+    if not degs or any(d.size == 0 for d in degs):
+        raise GraphError(f"color {Color(color).name} missing from some replica")
+    kmax = max(int(d.max()) for d in degs)
+    acc = np.zeros(kmax + 1)  # a replica's CCDF is 0 past its own max degree
+    for d in degs:
+        ccdf = degree_ccdf(d)[1]
+        acc[:ccdf.size] += ccdf
+    return np.arange(kmax + 1, dtype=np.int64), acc / len(degs)
 
 
 def alpha_root(r, rho):

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from conftest import BASE_SEED
 from fairank.cli import main
-from fairank.experiments import averaged_ccdf
 from fairank.fairness import minority_share_curve
 from fairank.graph import Color, from_edge_list, tail_exponent_fit
 from fairank.meanfield import (
@@ -318,7 +317,7 @@ def test_criterion_8_tail_exponents(batch_cache, verdict):
         _, _, beta_b, beta_r = exponents(0.3, rho)
         fits = {}
         for color, beta in ((B, beta_b), (R, beta_r)):
-            ks, ccdf = averaged_ccdf(batch.graphs, color)
+            ks, ccdf = oracles.averaged_ccdf(batch.graphs, color)
             n_color = float(
                 np.mean([(g.colors == int(color)).sum() for g in batch.graphs])
             )

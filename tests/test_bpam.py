@@ -149,8 +149,9 @@ def test_parameter_validation():
         BpamParams(10, 3, 1.2, 0.5)
     with pytest.raises(ValueError, match="homophily"):
         BpamParams(10, 3, 0.3, -0.1)
-    with pytest.warns(UserWarning, match="not a minority"):
+    with pytest.warns(UserWarning, match="not a minority") as record:
         BpamParams(10, 3, 0.7, 0.5)
+    assert record[0].filename == __file__  # the caller, not the dataclass __init__
 
 
 def test_minority_fraction_tracks_arrival_rate():

@@ -91,6 +91,21 @@ def test_zero_threads_exits_one(capsys):
     assert "--threads must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "--tol", "0"], "tol must be positive"),
+    (["curve", "--max-iter", "0"], "max_iter must be at least 1"),
+    (["curve", "--reps", "0"], "reps must be at least 1"),
+    (["generate", "--nodes", "1"], "n_nodes must be at least 2"),
+])
+def test_invalid_run_setting_exits_one_before_any_output(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out-dir", str(out))
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, output", [
     ("rank", ["--algo", "degree", "--out", "ranking.csv"]),
     ("real", ["--algos", "degree", "--out-dir", "real"]),
@@ -516,10 +531,9 @@ def test_real_sweep_k_records_one_replica(dataset, tmp_path):
 # -- option defaults -------------------------------------------------------------------
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_each_default_is_declared_once(command, dataset, monkeypatch):
+def test_each_default_is_declared_once(command, dataset):
     # with only its required options, a subcommand's config is
     # ExperimentConfig's defaults: the option table declares none of its own
-    monkeypatch.delenv("FAIRANK_THREADS", raising=False)
     edges, colors = dataset
     required = {"real": ["--edges", edges, "--colors", colors],
                 "sweep": ["--axis", "k", "--values", "1"]}.get(command, [])
@@ -613,7 +627,7 @@ def test_config_file_boolean_words(tmp_path):
 
 
 def test_one_graph_commands_ignore_threads_env_var(dataset, tmp_path, monkeypatch):
-    # real and rank have one graph to rank, so FAIRANK_THREADS does not apply
+    # --threads is the only way to set the worker count
     monkeypatch.setenv("FAIRANK_THREADS", "4")
     edges, colors = dataset
     out = tmp_path / "real"
@@ -622,15 +636,11 @@ def test_one_graph_commands_ignore_threads_env_var(dataset, tmp_path, monkeypatc
     assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("FAIRANK_THREADS", "2")
+@pytest.mark.parametrize("value", ["2", "zero"])
+def test_generate_does_not_read_threads_env_var(value, tmp_path, monkeypatch):
+    # --threads is the only way to set the worker count
+    monkeypatch.setenv("FAIRANK_THREADS", value)
     out = tmp_path / "out"
-    code = run_cli("generate", "--nodes", "40", "--outdeg", "2", "--reps", "2",
-                   "--seed", "1", "--out-dir", str(out))
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["threads"] == 2
-
-    monkeypatch.setenv("FAIRANK_THREADS", "zero")
-    assert run_cli("generate", "--nodes", "40", "--outdeg", "2",
-                   "--out-dir", str(out)) == 2
+    assert run_cli("generate", "--nodes", "40", "--outdeg", "2", "--reps", "2",
+                   "--seed", "1", "--out-dir", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["threads"] == 1

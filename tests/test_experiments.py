@@ -7,10 +7,10 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from fairank.bpam import BpamParams, generate
 from fairank.experiments import (
     ExperimentConfig,
-    averaged_ccdf,
     ccdf_csv,
     compute_ranking,
     ranking_csv,
@@ -44,6 +44,15 @@ def test_config_validation():
         ExperimentConfig(threads=0)
     with pytest.raises(ValueError, match="unknown algorithm"):
         ExperimentConfig(algos=("degree", "mystery"))
+    # the stopping rule and the generator parameters are checked up front
+    with pytest.raises(ValueError, match="tol"):
+        ExperimentConfig(tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        ExperimentConfig(max_iter=0)
+    with pytest.raises(ValueError, match="n_nodes"):
+        ExperimentConfig(n_nodes=1)
+    # a loaded graph has no generator parameters to check
+    assert ExperimentConfig(edge_file="e.tsv", color_file="c.tsv", n_nodes=1).reps == 1
     for one_file in ({"edge_file": "e.tsv"}, {"color_file": "c.tsv"}):
         with pytest.raises(ValueError, match="must be given together"):
             ExperimentConfig(**one_file)
@@ -73,7 +82,7 @@ def test_file_pair_alone_makes_run_real_rank_the_files(tmp_path):
     summary = (tmp_path / "summary.csv").read_text().split("\n")
     assert summary[1:3] == ["nodes,5", "edges,3"]
     assert curves["degree"].baseline == 0.4
-    assert manifest.seeds == [] and manifest.config["reps"] == 1
+    assert manifest["seeds"] == [] and manifest["config"]["reps"] == 1
 
 
 def test_config_derived_objects():
@@ -104,11 +113,11 @@ def test_compute_ranking_dispatch():
 def test_averaged_ccdf_hand_value():
     g1 = from_edge_list([(0, 1)], [B, R])
     g2 = from_edge_list([(0, 1), (1, 0)], [B, R])
-    ks, ccdf = averaged_ccdf([g1, g2], R, "total")
+    ks, ccdf = oracles.averaged_ccdf([g1, g2], R, "total")
     assert ks.tolist() == [0, 1, 2]
     assert ccdf == pytest.approx([1.0, 1.0, 0.5])
     with pytest.raises(GraphError, match="missing"):
-        averaged_ccdf([from_edge_list([(0, 1)], [B, B])], R)
+        oracles.averaged_ccdf([from_edge_list([(0, 1)], [B, B])], R)
 
 
 def test_ccdf_csv_groups_colors():
@@ -147,6 +156,7 @@ def test_run_synthetic_outputs(tmp_path):
     assert [row.split(",")[1] for row in stats[1:]] == ["7", "8", "9"]
 
     payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest == payload
     assert payload["command"] == "curve"
     assert payload["seeds"] == [7, 8, 9]
     assert payload["config"]["n_nodes"] == 60
@@ -266,7 +276,7 @@ def test_sweep_rho_regenerates(tmp_path):
     values = {row.split(",")[1] for row in text.strip().split("\n")[1:]}
     assert values == {"0.2", "0.8"}
     # two values x two replicas -> four generator seeds recorded
-    assert len(manifest.seeds) == 4
+    assert len(manifest["seeds"]) == 4
 
 
 def test_sweep_validation(tmp_path):

@@ -12,7 +12,6 @@ from fairank.graph import Color, GraphError, from_edge_list
 from fairank.io import (
     load_graph,
     read_color_file,
-    read_edge_list,
     write_color_file,
     write_edge_list,
     write_node_mapping,
@@ -53,27 +52,13 @@ def test_round_trip_preserves_graph(tmp_path):
     assert np.array_equal(g2.colors, g.colors)
 
 
-def test_round_trip_with_labels(tmp_path, toy_files):
-    g, labels = load_graph(*toy_files)
-    write_edge_list(tmp_path / "e2.tsv", g, labels)
-    write_color_file(tmp_path / "c2.tsv", g, labels)
-    assert read_edge_list(tmp_path / "e2.tsv") == [
-        ("alice", "bob"), ("carol", "alice"), ("bob", "carol")
-    ]
-    assert read_color_file(tmp_path / "c2.tsv") == {
-        "alice": Color.R, "bob": Color.B, "carol": Color.B
-    }
-
-
 def test_hash_inside_label_round_trips(tmp_path):
-    g = from_edge_list([(0, 1), (1, 2), (2, 0)], [Color.R, Color.B, Color.B])
-    labels = ["a#b", "c", "d#"]
-    write_edge_list(tmp_path / "e.tsv", g, labels)
-    write_color_file(tmp_path / "c.tsv", g, labels)
-    with open(tmp_path / "e.tsv", "a", encoding="utf-8") as fh:
-        fh.write("# closing comment\nc\td#\t#trailing comment\n")
+    (tmp_path / "e.tsv").write_text(
+        "a#b\tc\nc\td#\nd#\ta#b\n# closing comment\nc\td#\t#trailing comment\n"
+    )
+    (tmp_path / "c.tsv").write_text("a#b\tR\nc\tB\nd#\tB\n")
     g2, labels2 = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
-    assert labels2 == labels
+    assert labels2 == ["a#b", "c", "d#"]
     assert g2.src.tolist() == [0, 1, 2, 1]
     assert g2.dst.tolist() == [1, 2, 0, 2]
 
@@ -86,8 +71,9 @@ def test_node_mapping_file(tmp_path):
 def test_parse_errors_carry_line_numbers(tmp_path):
     bad_edge = tmp_path / "bad_edges.tsv"
     bad_edge.write_text("a\tb\nc d\n")  # line 2 uses spaces, not a tab
-    with pytest.raises(GraphError, match=r"bad_edges\.tsv:2: expected"):
-        read_edge_list(bad_edge)
+    (tmp_path / "c.tsv").write_text("a\tR\nb\tB\nc\tB\n")
+    with pytest.raises(GraphError, match=r"bad_edges\.tsv:2: expected 'src<TAB>dst'"):
+        load_graph(bad_edge, tmp_path / "c.tsv")
 
     bad_color = tmp_path / "bad_colors.tsv"
     bad_color.write_text("a\tR\nb\tpurple\n")
