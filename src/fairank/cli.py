@@ -26,15 +26,15 @@ from .experiments import (
     ALGORITHMS,
     ExperimentConfig,
     ranking_csv,
+    run_curves,
     run_generate,
     run_rank,
-    run_real,
-    run_synthetic,
     sweep,
+    sweep_configs,
 )
 from .graph import GraphError
 from .io import table, write_text
-from .meanfield import mean_field_report, verify_propositions
+from .meanfield import _validate_params, mean_field_report, verify_propositions
 
 __all__ = ["main"]
 
@@ -262,13 +262,8 @@ def _cmd_rank(args, config) -> int:
     return _strict_exit(args, result.converged, "did not converge within --max-iter")
 
 
-def _cmd_curve(args, config) -> int:
-    _, _, all_converged = run_synthetic(config)
-    return _strict_exit(args, all_converged, "some replicas did not converge")
-
-
-def _cmd_real(args, config) -> int:
-    _, _, all_converged = run_real(config)
+def _cmd_curves(args, config) -> int:
+    _, _, all_converged = run_curves(config)
     return _strict_exit(args, all_converged, "some rankers did not converge")
 
 
@@ -313,8 +308,8 @@ def _cmd_sweep(args, config) -> int:
 _COMMANDS = {
     "generate": (_cmd_generate, "emit raw replica graphs with stats"),
     "rank": (_cmd_rank, "rank one graph, CSV node,score,rank"),
-    "curve": (_cmd_curve, "replica-averaged minority share curves"),
-    "real": (_cmd_real, "analyze a dataset from files"),
+    "curve": (_cmd_curves, "replica-averaged minority share curves"),
+    "real": (_cmd_curves, "analyze a dataset from files"),
     "meanfield": (_cmd_meanfield, "closed-form analytics as CSV"),
     "verify": (_cmd_verify, "run analytic checks, CSV r,rho,check,mode,passed,margin"),
     "sweep": (_cmd_sweep, "curve sets across rho or eigenspace dimension"),
@@ -377,6 +372,10 @@ def main(argv=None) -> int:
             parser.error("--values is empty")
     try:  # the run's settings are checked before any work starts
         config = _config(args) if command in _GRAPHS.split() else None
+        if command == "sweep":
+            sweep_configs(config, args.axis, args.values)
+        if command in _ANALYTIC.split() and not args.grid:
+            _validate_params(args.r, args.rho)
     except ValueError as exc:
         parser.error(str(exc))
     try:

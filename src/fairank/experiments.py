@@ -64,11 +64,11 @@ __all__ = [
     "ALGORITHMS",
     "ExperimentConfig",
     "compute_ranking",
+    "run_curves",
     "run_generate",
     "run_rank",
-    "run_synthetic",
-    "run_real",
     "sweep",
+    "sweep_configs",
 ]
 
 ALGORITHMS = ("degree", "pagerank", "hits", "rhits", "subspace")
@@ -121,16 +121,31 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", "synthetic" if self.edge_file is None else "real")
         if self.mode == "real":  # a loaded graph is one replica
             object.__setattr__(self, "reps", 1)
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
         self.ctrl()  # IterationControl and BpamParams check their own fields
         if self.mode == "synthetic":
             self.bpam_params()
+        # k is the eigenspace ranker's subspace size; a loaded graph's node
+        # count is known only once its files are read
+        ranks_generated_subspace = self.mode == "synthetic" and "subspace" in self.algos
+        for ok, message in (
+            (self.reps >= 1, "reps must be at least 1"),
+            (self.threads >= 1, "threads must be at least 1"),
+            (len(set(self.algos)) == len(self.algos), "algos names an algorithm twice"),
+            (0.0 <= self.eta < 1.0, "eta must lie in [0, 1)"),
+            (0.0 < self.eps <= 1.0, "eps must lie in (0, 1]"),
+            (self.k >= 1, "k must be at least 1"),
+            (not ranks_generated_subspace or self.k <= self.n_nodes,
+             "k must not exceed n_nodes"),
+            (self.grid_points >= 2, "grid_points must be at least 2"),
+            (self.base_seed >= 0, "base_seed must be non-negative"),
+            (self.tie_shuffle_seed is None or self.tie_shuffle_seed >= 0,
+             "tie_shuffle_seed must be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     def bpam_params(self) -> BpamParams:
         return BpamParams(self.n_nodes, self.outdeg, self.minority_ratio, self.homophily)
@@ -326,6 +341,8 @@ def _seeds(config: ExperimentConfig) -> list[int]:
 
 def run_generate(config: ExperimentConfig) -> dict:
     """Emit raw replica graphs (edge + color files) plus generation stats."""
+    if config.mode == "real":
+        raise ValueError("generate writes BPAM replicas; a file pair has none to write")
     t0 = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
     outcomes = _replicas(config, (), keep="files")
@@ -346,47 +363,50 @@ def run_rank(config: ExperimentConfig) -> tuple[list, Optional[list]]:
     return outcome.outputs, labels
 
 
-def run_synthetic(config: ExperimentConfig) -> tuple[dict, dict, bool]:
+def run_curves(config: ExperimentConfig) -> tuple[dict, dict, bool]:
     """Replica-averaged fairness curves for every configured algorithm.
 
-    Writes ``curves.csv`` (long format), ``stats.csv`` (per replica), and
-    ``manifest.json``. Returns (averaged curves, manifest, all-converged).
+    Writes ``curves.csv`` (long format) and ``manifest.json``, whose
+    ``command`` is "curve" for generated graphs and "real" for a loaded file
+    pair. Generated graphs add ``stats.csv`` (per replica); a loaded graph
+    adds summary stats (node/edge counts, minority fraction, cross-edge
+    index), per-color CCDFs and the node-id mapping. Returns (averaged
+    curves, manifest, all-converged).
     """
     t0 = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
     averaged, outcomes = _curves(config, _algo_specs(config))
-    averaged = dict(zip(config.algos, averaged))
-    texts = {
-        "curves.csv": curve_compare(averaged),
-        "stats.csv": _stats_csv([o.stats for o in outcomes]),
-    }
-    manifest = _finish("curve", config, _seeds(config), t0, texts, curves=averaged)
-    return averaged, manifest, _converged(outcomes)
-
-
-def run_real(config: ExperimentConfig) -> tuple[dict, dict, bool]:
-    """Single-pass analysis of a loaded dataset.
-
-    Emits the same curve schema as synthetic runs plus summary stats
-    (node/edge counts, minority fraction, cross-edge index), per-color
-    CCDFs, and the node-id mapping.
-    """
-    t0 = time.perf_counter()
-    os.makedirs(config.out_dir, exist_ok=True)
-    curves, outcomes = _curves(config, _algo_specs(config))
-    curves = dict(zip(config.algos, curves))
-    g, labels = outcomes[0].loaded
-    mapping = "node_mapping.tsv"
-    write_node_mapping(os.path.join(config.out_dir, mapping), labels)
-    summary = (("nodes", "edges", "minority_fraction", "hri"),
-               (g.n, g.n_edges, minority_fraction(g), hri(g)))
-    texts = {
-        "curves.csv": curve_compare(curves),
-        "summary.csv": table(summary, header="key,value"),
-        "ccdf.csv": ccdf_csv(ccdf_by_color(g, config.degree_which)),
-    }
-    manifest = _finish("real", config, [], t0, texts, [mapping], curves)
+    curves = dict(zip(config.algos, averaged))
+    texts = {"curves.csv": curve_compare(curves)}
+    written = []
+    if config.mode == "real":
+        g, labels = outcomes[0].loaded
+        written.append("node_mapping.tsv")
+        write_node_mapping(os.path.join(config.out_dir, written[0]), labels)
+        summary = (("nodes", "edges", "minority_fraction", "hri"),
+                   (g.n, g.n_edges, minority_fraction(g), hri(g)))
+        texts["summary.csv"] = table(summary, header="key,value")
+        texts["ccdf.csv"] = ccdf_csv(ccdf_by_color(g, config.degree_which))
+    else:
+        texts["stats.csv"] = _stats_csv([o.stats for o in outcomes])
+    command = "curve" if config.mode == "synthetic" else "real"
+    manifest = _finish(command, config, _seeds(config), t0, texts, written, curves)
     return curves, manifest, _converged(outcomes)
+
+
+def sweep_configs(config: ExperimentConfig, axis: str, values: Sequence) -> list:
+    """The config of each swept value, each checked as ExperimentConfig checks
+    its fields: ``axis="rho"`` sets ``homophily`` and ``axis="k"`` sets
+    ``k`` of the eigenspace ranker, the one ranker a k sweep runs."""
+    if axis not in ("rho", "k"):
+        raise ValueError("axis must be 'rho' or 'k'")
+    if len(values) == 0:
+        raise ValueError("empty sweep axis")
+    if axis == "rho":
+        if config.mode == "real":
+            raise ValueError("rho sweeps a generation parameter; needs synthetic mode")
+        return [dataclasses.replace(config, homophily=float(v)) for v in values]
+    return [dataclasses.replace(config, algos=("subspace",), k=int(v)) for v in values]
 
 
 def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, dict, bool]:
@@ -398,12 +418,7 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, d
     eigenspace ranker at every subspace dimension. Emits one long-format
     CSV ``axis,value,algo,x,share,baseline``.
     """
-    if axis not in ("rho", "k"):
-        raise ValueError("axis must be 'rho' or 'k'")
-    if len(values) == 0:
-        raise ValueError("empty sweep axis")
-    if axis == "rho" and config.mode == "real":
-        raise ValueError("rho sweeps a generation parameter; needs synthetic mode")
+    subs = sweep_configs(config, axis, values)
     t0 = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []  # (value, algo, curve)
@@ -411,18 +426,14 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, d
     converged = True
 
     if axis == "rho":
-        for value in values:
-            sub = dataclasses.replace(config, homophily=float(value))
+        for sub in subs:
             averaged, outcomes = _curves(sub, _algo_specs(sub))
-            rows += [(float(value), algo, c) for algo, c in zip(sub.algos, averaged)]
+            rows += [(sub.homophily, algo, c) for algo, c in zip(sub.algos, averaged)]
             seeds += _seeds(sub)
             converged = converged and _converged(outcomes)
     else:
-        specs = tuple(
-            ("subspace", dataclasses.replace(config, k=int(value))) for value in values
-        )
-        averaged, outcomes = _curves(config, specs)
-        rows = [(int(v), "subspace", c) for v, c in zip(values, averaged)]
+        averaged, outcomes = _curves(config, tuple(("subspace", sub) for sub in subs))
+        rows = [(sub.k, "subspace", c) for sub, c in zip(subs, averaged)]
         # every value averages the same replicas, and the manifest says so
         seeds = _seeds(config) * len(values)
         converged = _converged(outcomes)

@@ -96,11 +96,25 @@ def test_zero_threads_exits_one(capsys):
     (["curve", "--max-iter", "0"], "max_iter must be at least 1"),
     (["curve", "--reps", "0"], "reps must be at least 1"),
     (["generate", "--nodes", "1"], "n_nodes must be at least 2"),
+    (["curve", "--eta", "1"], "eta must lie in [0, 1)"),
+    (["curve", "--eps", "0"], "eps must lie in (0, 1]"),
+    (["curve", "--k", "0"], "k must be at least 1"),
+    (["curve", "--nodes", "5", "--algos", "subspace"], "k must not exceed n_nodes"),
+    (["curve", "--grid-points", "1"], "grid_points must be at least 2"),
+    (["curve", "--seed", "-1"], "base_seed must be non-negative"),
+    (["curve", "--tie-shuffle", "-1"], "tie_shuffle_seed must be non-negative"),
+    (["curve", "--algos", "degree", "degree"], "algos names an algorithm twice"),
+    (["sweep", "--axis", "rho", "--values", "0.5,2"], "homophily must lie in [0, 1]"),
+    (["sweep", "--axis", "k", "--values", "0"], "k must be at least 1"),
+    (["sweep", "--axis", "k", "--values", "2,7", "--nodes", "6"], "k must not exceed n_nodes"),
+    (["meanfield", "--r", "2", "--rho", "0.1"], "r must lie in [0, 1]"),
+    (["verify", "--r", "0.3", "--rho", "1.5"], "rho must lie in [0, 1]"),
 ])
 def test_invalid_run_setting_exits_one_before_any_output(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
+    out_flag = "--out" if argv[0] in ("meanfield", "verify") else "--out-dir"
     with pytest.raises(SystemExit) as exc:
-        run_cli(*argv, "--out-dir", str(out))
+        run_cli(*argv, out_flag, str(out))
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()

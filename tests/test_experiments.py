@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from fairank.experiments import (
     ccdf_csv,
     compute_ranking,
     ranking_csv,
+    run_curves,
     run_generate,
-    run_real,
-    run_synthetic,
     sweep,
 )
 from fairank.fairness import minority_share_curve
@@ -61,6 +61,16 @@ def test_config_validation():
         ExperimentConfig(mode="real")
 
 
+def test_config_checks_k_against_the_nodes_it_ranks():
+    # only the eigenspace ranker reads k, and a loaded graph's size is unknown
+    assert ExperimentConfig(n_nodes=5, algos=("degree",)).k == 6
+    assert ExperimentConfig(n_nodes=6, algos=("subspace",)).k == 6
+    with pytest.raises(ValueError, match="k must not exceed n_nodes"):
+        ExperimentConfig(n_nodes=5, algos=("subspace",))
+    assert ExperimentConfig(edge_file="e.tsv", color_file="c.tsv", k=50,
+                            algos=("subspace",)).k == 50
+
+
 def test_config_derives_graph_source_and_replica_count_from_files():
     assert ExperimentConfig().mode == "synthetic"
     assert ExperimentConfig().reps == 100
@@ -78,7 +88,7 @@ def test_file_pair_alone_makes_run_real_rank_the_files(tmp_path):
     config = ExperimentConfig(edge_file=str(tmp_path / "e.tsv"),
                               color_file=str(tmp_path / "c.tsv"),
                               algos=("degree",), out_dir=str(tmp_path))
-    curves, manifest, _ = run_real(config)
+    curves, manifest, _ = run_curves(config)
     summary = (tmp_path / "summary.csv").read_text().split("\n")
     assert summary[1:3] == ["nodes,5", "edges,3"]
     assert curves["degree"].baseline == 0.4
@@ -142,7 +152,7 @@ def test_ranking_csv_orders_rows():
 
 def test_run_synthetic_outputs(tmp_path):
     config = small_config(tmp_path)
-    averaged, manifest, all_converged = run_synthetic(config)
+    averaged, manifest, all_converged = run_curves(config)
     assert set(averaged) == {"degree", "hits"}
     assert all_converged
 
@@ -166,7 +176,7 @@ def test_run_synthetic_outputs(tmp_path):
 
 
 def test_run_synthetic_svg(tmp_path):
-    run_synthetic(small_config(tmp_path, svg=True))
+    run_curves(small_config(tmp_path, svg=True))
     svg = (tmp_path / "curves.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "degree" in svg and "hits" in svg  # legend entries
@@ -176,8 +186,8 @@ def test_run_synthetic_svg(tmp_path):
 def test_thread_fanout_is_bit_identical(tmp_path):
     one = tmp_path / "one"
     two = tmp_path / "two"
-    run_synthetic(small_config(one, threads=1))
-    run_synthetic(small_config(two, threads=2))
+    run_curves(small_config(one, threads=1))
+    run_curves(small_config(two, threads=2))
     assert (one / "curves.csv").read_bytes() == (two / "curves.csv").read_bytes()
     assert (one / "stats.csv").read_bytes() == (two / "stats.csv").read_bytes()
 
@@ -193,6 +203,34 @@ def test_run_generate_outputs(tmp_path):
     assert edges[0] == "0\t1"
 
 
+@pytest.mark.parametrize("from_files", [False, True])
+def test_run_curves_writes_the_outputs_of_its_graph_source(from_files, tmp_path):
+    out = tmp_path / "out"
+    config = small_config(out, reps=2)
+    if from_files:
+        g, _ = generate(config.bpam_params(), seed=1)
+        write_edge_list(tmp_path / "e.tsv", g)
+        write_color_file(tmp_path / "c.tsv", g)
+        config = small_config(out, edge_file=str(tmp_path / "e.tsv"),
+                              color_file=str(tmp_path / "c.tsv"))
+    _, manifest, _ = run_curves(config)
+    own = {"summary.csv", "ccdf.csv", "node_mapping.tsv"} if from_files else {"stats.csv"}
+    assert set(os.listdir(out)) == {"curves.csv", "manifest.json", *own}
+    assert set(manifest["file_hashes"]) == {"curves.csv", *own}
+    assert manifest["command"] == ("real" if from_files else "curve")
+
+
+def test_run_generate_rejects_a_file_pair_before_writing(tmp_path):
+    g = from_edge_list([(0, 1), (1, 0)], [B, R])
+    write_edge_list(tmp_path / "e.tsv", g)
+    write_color_file(tmp_path / "c.tsv", g)
+    config = small_config(tmp_path / "out", edge_file=str(tmp_path / "e.tsv"),
+                          color_file=str(tmp_path / "c.tsv"))
+    with pytest.raises(ValueError, match="file pair"):
+        run_generate(config)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_real_summary_matches_graph(tmp_path):
     g, _ = generate(BpamParams(120, 4, 0.3, 0.4), seed=3)
     write_edge_list(tmp_path / "e.tsv", g)
@@ -201,7 +239,7 @@ def test_run_real_summary_matches_graph(tmp_path):
         tmp_path,
         edge_file=str(tmp_path / "e.tsv"), color_file=str(tmp_path / "c.tsv"),
     )
-    curves, manifest, _ = run_real(config)
+    curves, manifest, _ = run_curves(config)
     rows = dict(
         line.split(",")
         for line in (tmp_path / "summary.csv").read_text().strip().split("\n")[1:]
@@ -236,7 +274,7 @@ def test_run_real_two_clique_toy_hits_buries_minority(tmp_path):
         tmp_path, algos=("degree", "hits"),
         edge_file=str(tmp_path / "e.tsv"), color_file=str(tmp_path / "c.tsv"),
     )
-    curves, _, _ = run_real(config)
+    curves, _, _ = run_curves(config)
     exact = minority_share_curve(
         degree_rank(g).order, g.colors, [0.2]
     ).share[0]
@@ -256,7 +294,7 @@ def test_run_real_rejects_single_color(tmp_path):
         edge_file=str(tmp_path / "e.tsv"), color_file=str(tmp_path / "c.tsv"),
     )
     with pytest.raises(GraphError, match="single color"):
-        run_real(config)
+        run_curves(config)
 
 
 def test_sweep_k_reranks_subspace(tmp_path):
