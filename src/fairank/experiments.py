@@ -52,6 +52,7 @@ from .io import (
 from .rankers import (
     IterationControl,
     RankingResult,
+    Spectrum,
     degree_rank,
     hits,
     pagerank,
@@ -157,19 +158,24 @@ class ExperimentConfig:
         return self.base_seed + index
 
 
-def compute_ranking(g: ColoredDigraph, algo: str, config: ExperimentConfig) -> RankingResult:
-    """Run one configured algorithm; hub/authority pairs yield authorities."""
+def compute_ranking(
+    g: ColoredDigraph, algo: str, config: ExperimentConfig, spectrum: Optional[Spectrum] = None
+) -> RankingResult:
+    """Run one configured algorithm; hub/authority pairs yield authorities.
+
+    HITS and subspace HITS read ``spectrum`` when given, a Spectrum of
+    ``g`` that holds their k, and solve on their own otherwise."""
     ctrl = config.ctrl()
     if algo == "degree":
         return degree_rank(g, config.degree_which)
     if algo == "pagerank":
         return pagerank(g, config.eta, ctrl)
     if algo == "hits":
-        return hits(g, ctrl)[0]
+        return hits(g, ctrl, spectrum=spectrum)[0]
     if algo == "rhits":
         return randomized_hits(g, config.eps, ctrl)[0]
     if algo == "subspace":
-        return subspace_hits(g, config.k, config.weight, ctrl)
+        return subspace_hits(g, config.k, config.weight, ctrl, spectrum=spectrum)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -244,9 +250,10 @@ class _Replica:
     ``config`` names the graph source: BPAM parameters with seed
     ``config.replica_seed(index)``, or in real mode the file pair, which is
     replica 0. Every ``(algo, config)`` pair in ``specs`` ranks the same
-    graph. ``keep`` picks what comes back per spec: ``"curves"`` (a
-    minority-share curve) or ``"rankings"`` (the RankingResult); ``"files"``
-    ranks nothing and writes the graph into ``config.out_dir`` instead.
+    graph, and one Ritz solve serves all its spectral specs. ``keep`` picks
+    what comes back per spec: ``"curves"`` (a minority-share curve) or
+    ``"rankings"`` (the RankingResult); ``"files"`` ranks nothing and writes
+    the graph into ``config.out_dir`` instead.
     """
 
     config: ExperimentConfig
@@ -285,10 +292,13 @@ def _run_replica(job: _Replica) -> _Outcome:
         write_color_file(os.path.join(config.out_dir, files[1]), g)
     if job.keep == "curves":
         grid = log_grid(g.n, config.grid_points)
+    # HITS reads k = 1 and subspace HITS its k: one solve at the largest
+    spectrum = Spectrum(g, [1 if algo == "hits" else spec.k for algo, spec in job.specs
+                            if algo in ("hits", "subspace")], config.ctrl())
     outputs = []
     converged = True
     for algo, spec in job.specs:
-        result = compute_ranking(g, algo, spec)
+        result = compute_ranking(g, algo, spec, spectrum)
         if spec.tie_shuffle_seed is not None:
             order = rank_order(result.scores, spec.tie_shuffle_seed + seed)
             result = dataclasses.replace(result, order=order)
@@ -414,9 +424,10 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, d
 
     ``axis="rho"`` regenerates synthetic replicas per homophily value;
     ``axis="k"`` builds each replica graph of the configured input
-    (synthetic replicas or a real dataset) once and ranks it with the
-    eigenspace ranker at every subspace dimension. Emits one long-format
-    CSV ``axis,value,algo,x,share,baseline``.
+    (synthetic replicas or a real dataset) once, solves its spectrum once at
+    the largest k and ranks it with the eigenspace ranker at every subspace
+    dimension; its manifest records ``algos`` ("subspace",) and that k.
+    Emits one long-format CSV ``axis,value,algo,x,share,baseline``.
     """
     subs = sweep_configs(config, axis, values)
     t0 = time.perf_counter()
@@ -432,6 +443,7 @@ def sweep(config: ExperimentConfig, axis: str, values: Sequence) -> tuple[str, d
             seeds += _seeds(sub)
             converged = converged and _converged(outcomes)
     else:
+        config = max(subs, key=lambda sub: sub.k)  # what ran: subspace, up to this k
         averaged, outcomes = _curves(config, tuple(("subspace", sub) for sub in subs))
         rows = [(sub.k, "subspace", c) for sub, c in zip(subs, averaged)]
         # every value averages the same replicas, and the manifest says so

@@ -31,6 +31,7 @@ __all__ = [
     "hits_trace",
     "randomized_hits",
     "subspace_hits",
+    "Spectrum",
 ]
 
 SUBSPACE_WEIGHTS = ("unit", "lambda_sq")
@@ -182,7 +183,10 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def hits(
-    g: ColoredDigraph, ctrl: IterationControl = _DEFAULT_CTRL
+    g: ColoredDigraph,
+    ctrl: IterationControl = _DEFAULT_CTRL,
+    *,
+    spectrum: Optional[Spectrum] = None,
 ) -> tuple[RankingResult, RankingResult]:
     """Mutually reinforcing authority and hub scores.
 
@@ -190,10 +194,12 @@ def hits(
     backward sum of hub scores and hubs to the forward sum of authority
     scores, L2-normalizing each half-step, converges to the principal
     eigenvector of A^T A (hubs: of A A^T). On a simple top eigenvalue that
-    is the top Ritz vector at k = 1, signed to agree with the indegrees, and
-    an iteration is a solver sweep. On a tied one only the all-ones start
-    picks the limit, so the reinforcement loop runs. Returns (authorities,
-    hubs); both carry the same convergence flags.
+    is the top Ritz vector, signed to agree with the indegrees, read from
+    ``spectrum`` (a :class:`Spectrum` of ``g`` that holds k = 1) or from a
+    solve of its own at k = 1; an iteration is then a sweep of that solve.
+    On a tied one only the all-ones start picks the limit, so the
+    reinforcement loop runs. Returns (authorities, hubs); both carry the
+    same convergence flags.
     """
     if g.n_edges == 0:
         raise GraphError("hub/authority scores need at least one edge")
@@ -204,7 +210,10 @@ def hits(
     def authority_of(h):
         return _unit(_backward(g, h))
 
-    _, ritz, it, converged, residual, tied = _ritz_topk(g, 1, ctrl.max_iter, ctrl.tol)
+    if spectrum is None:
+        spectrum = Spectrum(g, (1,), ctrl)
+    theta, ritz, it, converged, residual, _ = spectrum.read(g, 1, ctrl)
+    tied = _tied(theta, 1)
     if tied:
         a, it, converged, residual = _fixed_point(
             lambda a: authority_of(hub_of(a)), authority_of(np.ones(g.n)), 1, ctrl
@@ -379,7 +388,65 @@ def _filter_degree(top: float, bottom: float) -> int:
     return degree
 
 
-def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float):
+def _tie_tol(theta: np.ndarray) -> float:
+    """Gap between Ritz values at or below which they count as tied."""
+    return _DEGENERATE_GAP * max(theta[0], 1e-300)
+
+
+def _tied(theta: np.ndarray, k: int) -> bool:
+    """Whether theta_k and theta_{k+1} tie; never when the block ends at k."""
+    return k < len(theta) and bool(theta[k - 1] - theta[k] <= _tie_tol(theta))
+
+
+def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
+    """The stop test of ``_ritz_topk`` at the boundary between theta_k and theta_{k+1}.
+
+    The largest principal angle (measured by its sine, from a k x k Gram)
+    between successive leading-k subspaces must drop below ``angle_tol``
+    with the gap theta_k - theta_{k+1} resolved: it exceeds the tie
+    tolerance plus the residual norm r of the (k+1)-th Ritz pair, or r is
+    below ``angle_tol * theta_1``. The filter barely lifts rows near
+    theta_b, so without the residual test theta_{k+1} could still sit below
+    an eigenvalue tied with theta_k and the tie would go unflagged. On a
+    tied boundary the gap check flags the tie, and the stall rule passes it
+    once the leading-k subspace, or the span of the rows down to the last
+    one tied with theta_k, moves by less than max(``angle_tol``, 1e-8).
+
+    Returns (angle, tied, settled): the angle (inf without a previous
+    sweep), whether theta_k and theta_{k+1} tie, and whether the boundary
+    passes.
+    """
+    tied = _tied(theta, k)
+    if prev is None:
+        return np.inf, tied, False
+    angle = _sin_largest_angle(ritz[:k], prev[:k])
+    tie_tol = _tie_tol(theta)
+    if tied:
+        # the leading-k subspace is only defined up to rotations across the
+        # gap, so further sweeps cannot sharpen it. Once a tied cluster is
+        # exact, eigh rotates freely within it and only the span down to its
+        # last row in the block still settles. A cluster at zero has no such
+        # span, as A^T A maps its rows to rounding noise: there the rows
+        # above it are the span that settles
+        settle_tol = max(angle_tol, _STALL_ANGLE_TOL)
+        if theta[k - 1] > tie_tol:
+            m = int(np.count_nonzero(theta >= theta[k - 1] - tie_tol))
+        else:
+            m = int(np.count_nonzero(theta > tie_tol))
+        settled = angle < settle_tol or _sin_largest_angle(ritz[:m], prev[:m]) < settle_tol
+    elif angle < angle_tol:
+        if k < len(theta):
+            gap = theta[k - 1] - theta[k]
+            resid = np.linalg.norm(rot[k] @ z - theta[k] * ritz[k])
+        else:
+            gap, resid = np.inf, 0.0
+        settled = bool(gap > tie_tol + resid or resid < angle_tol * theta[0])
+    else:
+        settled = False
+    return angle, tied, settled
+
+
+def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower: tuple = ()):
     """Leading Ritz pairs of A^T A by Chebyshev-filtered block subspace iteration.
 
     The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
@@ -394,37 +461,29 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float):
     (``_orthonormal_rows``); the next Rayleigh-Ritz step does not depend on
     which basis of the filtered span it gets.
 
-    The sweep is plain (m = 1, the next block is ``orth(A^T A q)``) on
-    sweep 1, so that every later block lies in the range of A^T A and nodes
-    with identical in-neighbour columns keep bitwise-equal entries; while
-    theta_k and theta_{k+1} are tied, where the stall rule must see plain
-    sweeps; after a sweep whose leading-k subspace settled with the
-    boundary gap still unresolved (see below); and where the spectrum is
-    too wide for the gain cap (``_filter_degree``).
-
-    Iteration stops when the largest principal angle (measured by its sine,
-    from a k x k Gram) between successive leading-k subspaces drops below
-    ``angle_tol`` and the boundary gap theta_k - theta_{k+1} is resolved:
-    it exceeds the tie tolerance plus the residual norm r of the (k+1)-th
-    Ritz pair, or r is below ``angle_tol * theta_1``. The filter barely
-    lifts rows near theta_b, so without the residual test theta_{k+1}
-    could still sit below an eigenvalue tied with theta_k and the tie would
-    go unflagged. On a tied boundary the gap check flags the tie, and the
-    stall rule stops iteration once the leading-k subspace, or the span of
-    the rows down to the last one tied with theta_k, moves by less than
-    max(``angle_tol``, 1e-8). Returns (theta, U, sweeps, converged, angle,
-    tied): eigenvalues descending, the Ritz vectors as rows of U, the last
-    angle (inf after one sweep) and whether theta_k and theta_{k+1} tie.
+    The subspace sizes in ``lower`` (each below k) are read from the same
+    solve, so iteration stops only when the stop test (``_boundary``)
+    passes at k and at each of them. The sweep is plain (m = 1, the next
+    block is ``orth(A^T A q)``) on sweep 1, so that every later block lies
+    in the range of A^T A and nodes with identical in-neighbour columns
+    keep bitwise-equal entries; while a boundary is tied, where the stall
+    rule must see plain sweeps; after a sweep whose leading subspace at a
+    boundary settled with the gap there still unresolved; and where the
+    spectrum is too wide for the gain cap (``_filter_degree``). Returns
+    (theta, U, sweeps, converged, angle, tied): eigenvalues descending, the
+    Ritz vectors as rows of U, and the last angle (inf after one sweep) and
+    tie verdict at k.
     """
     n = g.n
     b = min(k + 2, n)
+    bounds = sorted({*lower, k})
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
     q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)
     theta = np.zeros(b)
     ritz = q
     prev = None
     angle = np.inf
-    converged = False
+    converged = tied = False
     it = 0
     for it in range(1, max_iter + 1):
         z = np.empty_like(q)
@@ -438,29 +497,13 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float):
         rot = vecs[:, desc].T
         ritz = rot @ q
         del q  # the next block comes from z and the Ritz rows alone
-        gap = theta[k - 1] - theta[k] if k < b else np.inf
-        tie_tol = _DEGENERATE_GAP * max(theta[0], 1e-300)
-        tied = bool(gap <= tie_tol)
-        if prev is not None:
-            angle = _sin_largest_angle(ritz[:k], prev[:k])
-            if tied:
-                # the boundary eigenvalues are numerically tied: the leading-k
-                # subspace is only defined up to rotations across the gap, so
-                # further sweeps cannot sharpen it. Once a tied cluster is
-                # exact, eigh rotates freely within it and only the span down
-                # to its last row in the block still settles
-                settle_tol = max(angle_tol, _STALL_ANGLE_TOL)
-                m = int(np.count_nonzero(theta >= theta[k - 1] - tie_tol))
-                if angle < settle_tol or _sin_largest_angle(ritz[:m], prev[:m]) < settle_tol:
-                    converged = True
-                    break
-            elif angle < angle_tol:
-                resid = np.linalg.norm(rot[k] @ z - theta[k] * ritz[k]) if k < b else 0.0
-                if gap > tie_tol + resid or resid < angle_tol * theta[0]:
-                    converged = True
-                    break
+        checks = [_boundary(j, theta, rot, z, ritz, prev, angle_tol) for j in bounds]
+        angle, tied, _ = checks[-1]
+        if all(settled for _, _, settled in checks):
+            converged = True
+            break
         prev = ritz
-        if it == 1 or tied or angle < angle_tol:
+        if it == 1 or any(t or (a < angle_tol and not s) for a, t, s in checks):
             degree = 1
         else:
             degree = _filter_degree(float(theta[0]), float(theta[-1]))
@@ -476,29 +519,63 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float):
     return theta, ritz, it, converged, angle, tied
 
 
+class Spectrum:
+    """The leading Ritz pairs of A^T A of one graph, solved once, on first read.
+
+    ``ks`` holds every subspace size that will be read: HITS reads 1 and
+    subspace HITS its ``k``. The one ``_ritz_topk`` solve runs at the
+    largest and applies the stop test at every boundary in ``ks``, so each
+    reader gets a tie verdict resolved at its own k. Readers share its
+    arrays, which are read-only. Hold one per graph and drop it with the
+    graph; nothing else caches a solve.
+    """
+
+    def __init__(self, g: ColoredDigraph, ks, ctrl: IterationControl = _DEFAULT_CTRL):
+        self.g = g
+        self.ks = frozenset(ks)
+        self.ctrl = ctrl
+        self._solve = None
+
+    def read(self, g: ColoredDigraph, k: int, ctrl: IterationControl) -> tuple:
+        """The solve as ``_ritz_topk`` returns it, for a reader of ``g`` at ``k`` under ``ctrl``."""
+        if g is not self.g or k not in self.ks or ctrl != self.ctrl:
+            raise ValueError(f"the spectrum holds no solve at k = {k} for this graph and control")
+        if self._solve is None:
+            *lower, top = sorted(self.ks)
+            self._solve = _ritz_topk(self.g, top, self.ctrl.max_iter, self.ctrl.tol, tuple(lower))
+            for shared in self._solve[:2]:  # theta and the Ritz rows
+                shared.flags.writeable = False
+        return self._solve
+
+
 def subspace_hits(
     g: ColoredDigraph,
     k: int,
     weight: str = "unit",
     ctrl: IterationControl = _DEFAULT_CTRL,
+    *,
+    spectrum: Optional[Spectrum] = None,
 ) -> RankingResult:
     """Authority scores aggregated over the leading k-dimensional eigenspace.
 
-    Computes the top k eigenpairs (lambda_i, v_i) of A^T A and scores node
-    j as sum_i f(lambda_i) * v_i[j]**2 with f = 1 (``weight="unit"``) or
-    f = lambda**2 (``weight="lambda_sq"``). Squaring removes the
-    eigenvector sign ambiguity. A degenerate flag is set when k exceeds
-    the numeric rank (trailing requested eigenvalues are ~0) or when the
-    k-th and (k+1)-th eigenvalues coincide, making the chosen subspace
-    arbitrary.
+    Takes the top k eigenpairs (lambda_i, v_i) of A^T A from ``spectrum``
+    (a :class:`Spectrum` of ``g`` that holds ``k``) or from a solve of its
+    own, and scores node j as sum_i f(lambda_i) * v_i[j]**2 with f = 1
+    (``weight="unit"``) or f = lambda**2 (``weight="lambda_sq"``).
+    Squaring removes the eigenvector sign ambiguity. A degenerate flag is
+    set when k exceeds the numeric rank (trailing requested eigenvalues are
+    ~0) or when the k-th and (k+1)-th eigenvalues coincide, making the
+    chosen subspace arbitrary.
     """
     if not 1 <= k <= g.n:
         raise ValueError("k must lie in 1..n")
     if weight not in SUBSPACE_WEIGHTS:
         raise ValueError(f"weight must be one of {SUBSPACE_WEIGHTS}")
-    theta, ritz, it, converged, angle, tied = _ritz_topk(g, k, ctrl.max_iter, ctrl.tol)
+    if spectrum is None:
+        spectrum = Spectrum(g, (k,), ctrl)
+    theta, ritz, it, converged, angle, _ = spectrum.read(g, k, ctrl)
     top = theta[:k]
-    degenerate = tied or bool(top[-1] <= theta[0] * 1e-12)
+    degenerate = _tied(theta, k) or bool(top[-1] <= theta[0] * 1e-12)
     f_weights = np.ones(k) if weight == "unit" else top**2
     scores = f_weights @ ritz[:k] ** 2
     return RankingResult(

@@ -1,9 +1,12 @@
-"""Shared fixtures: cached generator batches reused across test modules."""
+"""Shared fixtures: cached generator batches reused across test modules, and
+a spy on the rankers' solvers."""
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import pytest
 
+from fairank import rankers
 from fairank.bpam import BpamParams, GenerationStats, generate
 from fairank.graph import ColoredDigraph
 
@@ -45,3 +48,15 @@ def batch_cache():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Results of every _ritz_topk and _fixed_point call, by function name."""
+    calls = defaultdict(list)
+    for name in ("_ritz_topk", "_fixed_point"):
+        def spy(*args, _name=name, _solve=getattr(rankers, name)):
+            calls[_name].append(_solve(*args))
+            return calls[_name][-1]
+        monkeypatch.setattr(rankers, name, spy)
+    return calls

@@ -17,6 +17,7 @@ from fairank.experiments import (
     ranking_csv,
     run_curves,
     run_generate,
+    run_rank,
     sweep,
 )
 from fairank.fairness import minority_share_curve
@@ -306,6 +307,30 @@ def test_sweep_k_reranks_subspace(tmp_path):
     assert values == {"1", "2"}  # integer formatting, not 1.0
     assert all(row.split(",")[2] == "subspace" for row in lines[1:])
     assert (tmp_path / "sweep.csv").read_text() == text
+
+
+def _solve_sizes(solver_calls):
+    """The k of every Ritz solve so far: its block holds k + 2 rows."""
+    return [len(theta) - 2 for theta, *_ in solver_calls["_ritz_topk"]]
+
+
+@pytest.mark.parametrize("run", [run_rank, run_curves])
+def test_hits_and_subspace_share_one_solve_per_replica(run, tmp_path, solver_calls):
+    config = small_config(tmp_path, algos=("hits", "degree", "subspace"), k=4)
+    run(config)
+    assert _solve_sizes(solver_calls) == [4] * (1 if run is run_rank else config.reps)
+
+
+def test_hits_without_subspace_solves_at_k1(tmp_path, solver_calls):
+    run_curves(small_config(tmp_path))
+    assert _solve_sizes(solver_calls) == [1, 1, 1]
+
+
+def test_sweep_k_solves_each_graph_once_and_records_what_ran(tmp_path, solver_calls):
+    _, manifest, _ = sweep(small_config(tmp_path, reps=2), "k", [1, 2, 4])
+    assert _solve_sizes(solver_calls) == [4, 4]
+    # the manifest records the ranker that ran and the k of its one solve
+    assert (manifest["config"]["algos"], manifest["config"]["k"]) == (["subspace"], 4)
 
 
 def test_sweep_rho_regenerates(tmp_path):

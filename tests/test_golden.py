@@ -119,13 +119,13 @@ GOLDEN = {
     },
     "sweep_k": {
         "manifest.json":
-            "69492e3b72653394f9cba7bc895c5ce8d96c57fbf2f2573982f1a2b274e89dc3",
+            "cfeb7665afa4798050296dd4ff9fd5cf682fd11df6bbd2f06c5daab4b4c02dd1",
         "sweep.csv":
             "373dcc911ecf2e6cc838b71a3d1e5a73abb2cd65ecb4758ca2695d896c08a8a8",
     },
     "sweep_k_files": {
         "manifest.json":
-            "9e2af9926f4d69879a3a0cee6e22c714fef91102bfb825b2775d9d259f7590c8",
+            "c9024c7d83ab664a4deced6970748f5f602c8f3948c6f95e6d7a7c8732570dd0",
         "sweep.csv":
             "703656ec1fa345abdee0cfb187eb89d3ab4a37a19aaa82dbbdcd6b1516d32a52",
     },

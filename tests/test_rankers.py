@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from fairank import rankers
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
     IterationControl,
+    Spectrum,
     _orthonormal_rows,
     _sin_largest_angle,
     degree_rank,
@@ -173,18 +173,6 @@ def test_hits_authorities_are_the_limit_from_all_one_hubs(edges, n):
     # eigenvector; HITS is the one the all-ones start converges to
     auth, _ = hits(_graph(edges, n))
     assert np.max(np.abs(auth.scores - oracles.dense_hits_limit(edges, n))) < 1e-10
-
-
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Results of every _ritz_topk and _fixed_point call, by function name."""
-    calls = defaultdict(list)
-    for name in ("_ritz_topk", "_fixed_point"):
-        def spy(*args, _name=name, _solve=getattr(rankers, name)):
-            calls[_name].append(_solve(*args))
-            return calls[_name][-1]
-        monkeypatch.setattr(rankers, name, spy)
-    return calls
 
 
 def test_hits_on_a_simple_top_eigenvalue_is_one_ritz_solve(solver_calls):
@@ -518,6 +506,59 @@ def test_subspace_stops_on_a_tied_boundary_at_a_loose_tolerance(graph, k, sweeps
     res = subspace_hits(g, k, ctrl=IterationControl(1e-6, 1000))
     assert res.converged and res.degenerate
     assert res.iterations_used <= sweeps
+
+
+@pytest.mark.parametrize("graph, k", [("in_stars", 6), ("in_stars", 8), ("star_pair", 3)])
+def test_subspace_settles_on_a_tie_at_zero(graph, k):
+    # k reaches past the numeric rank (5 for in_stars, 2 for star_pair) and
+    # a tied zero eigenvalue fills the rest of the block. A^T A maps those
+    # rows to rounding noise, so only the rows above zero can settle; the
+    # stall rule that waited for the span of the whole block ran all 1000
+    # sweeps here
+    edges, n = TIED_SPECTRA[graph]
+    res = subspace_hits(_graph(edges, n), k)
+    assert res.converged and res.degenerate
+    assert res.iterations_used <= 3
+
+
+def _agrees_up_to_noise(res, ref, noise=1e-12):
+    """Whether ``res`` orders every pair of nodes as ``ref`` does, except
+    pairs whose ``ref`` scores lie within ``noise`` of each other."""
+    return bool(np.all(np.diff(ref.scores[res.order]) <= noise))
+
+
+@pytest.mark.parametrize("graph", [*TIED_SPECTRA, "hidden_tie", "bpam_seed_1"])
+def test_readings_below_a_larger_solve_match_their_own_solves(graph, solver_calls):
+    # one solve at k* serves HITS (k = 1) and subspace HITS at k = 3, 4, 5.
+    # Each boundary gets its own tie test, so each reading gets the tie flag
+    # and convergence that a solve of its own gives. A degenerate reading's
+    # order is arbitrary (any rotation across the tie gives it), and entries
+    # that are zero in exact arithmetic carry rounding noise, so orders are
+    # compared where the flag says they are defined, up to that noise
+    if graph == "bpam_seed_1":
+        g = _bpam_1000(1)
+    else:
+        g = _graph(*{**TIED_SPECTRA, "hidden_tie": (HIDDEN_TIE_EDGES, 18)}[graph])
+    ks = [k for k in (3, 4, 5) if k < g.n]
+    spectrum = Spectrum(g, (1, *ks, min(8, g.n)))
+    shared = [hits(g, spectrum=spectrum)[0], *(subspace_hits(g, k, spectrum=spectrum) for k in ks)]
+    assert len(solver_calls["_ritz_topk"]) == 1
+    own = [hits(g)[0], *(subspace_hits(g, k) for k in ks)]
+    for res, ref in zip(shared, own):
+        assert (res.degenerate, res.converged) == (ref.degenerate, ref.converged)
+        if not ref.degenerate:
+            assert _agrees_up_to_noise(res, ref) and _agrees_up_to_noise(ref, res)
+
+
+def test_a_spectrum_serves_only_what_it_was_built_for():
+    g = _bpam_1000(1)
+    spectrum = Spectrum(g, (1, 6))
+    with pytest.raises(ValueError, match="k = 3"):
+        subspace_hits(g, 3, spectrum=spectrum)
+    with pytest.raises(ValueError):
+        hits(g, IterationControl(tol=1e-6), spectrum=spectrum)
+    with pytest.raises(ValueError):
+        hits(_bpam_1000(2), spectrum=spectrum)
 
 
 def _in_edges(target, sources, mults):
