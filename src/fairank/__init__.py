@@ -1,48 +1,7 @@
 """Two-community network generation, link-analysis ranking, and
 minority-representation diagnostics.
 
-Subpackages are imported lazily by most users; the common entry points are
-re-exported here.
+The package root holds only the version; import names from their modules.
 """
 
 __version__ = "0.1.0"
-
-from .bpam import BpamParams, GenerationStats, generate
-from .fairness import FairnessCurve, minority_share_curve, parity_gap
-from .graph import Color, ColoredDigraph, GraphError, from_edge_list, hri, minority_fraction
-from .meanfield import MeanFieldReport, mean_field_report, verify_propositions
-from .rankers import (
-    IterationControl,
-    RankingResult,
-    degree_rank,
-    hits,
-    pagerank,
-    randomized_hits,
-    subspace_hits,
-)
-
-__all__ = [
-    "__version__",
-    "BpamParams",
-    "GenerationStats",
-    "generate",
-    "FairnessCurve",
-    "minority_share_curve",
-    "parity_gap",
-    "Color",
-    "ColoredDigraph",
-    "GraphError",
-    "from_edge_list",
-    "hri",
-    "minority_fraction",
-    "MeanFieldReport",
-    "mean_field_report",
-    "verify_propositions",
-    "IterationControl",
-    "RankingResult",
-    "degree_rank",
-    "hits",
-    "pagerank",
-    "randomized_hits",
-    "subspace_hits",
-]

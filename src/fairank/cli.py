@@ -336,18 +336,9 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     args = parser.parse_args(injected + argv[1:])
     values = vars(args)
-    threads = values.get("threads")
-    if threads is not None and threads < 1:
-        parser.error("--threads must be at least 1")
-    if command in ("rank", "real"):
-        if threads not in (None, 1):
-            parser.error(f"--threads: {command} ranks one graph, so only 1 is accepted")
+    if command in ("rank", "real") and values["threads"] not in (None, 1):
+        parser.error(f"--threads: {command} ranks one graph, so only 1 is accepted")
     if values.get("edges") is not None or values.get("colors") is not None:
-        if values["edges"] is None or values["colors"] is None:
-            parser.error("--edges and --colors must be given together")
-        if values.get("axis") == "rho":
-            parser.error("--axis rho sweeps a generator parameter, so it needs "
-                         "synthetic graphs, not --edges/--colors")
         unused = [opt.flag for opt in _options_of(command)
                   if opt.flag in _GENERATED_ONLY and values[opt.dest] is not None]
         if unused:
@@ -368,8 +359,6 @@ def main(argv=None) -> int:
         except ValueError:
             parser.error(f"--values {args.values!r}: --axis {args.axis} takes "
                          f"comma-separated {cast.__name__} values")
-        if not args.values:
-            parser.error("--values is empty")
     try:  # the run's settings are checked before any work starts
         config = _config(args) if command in _GRAPHS.split() else None
         if command == "sweep":

@@ -52,6 +52,7 @@ from .io import (
 from .rankers import (
     IterationControl,
     RankingResult,
+    SUBSPACE_WEIGHTS,
     Spectrum,
     degree_rank,
     hits,
@@ -134,7 +135,10 @@ class ExperimentConfig:
         for ok, message in (
             (self.reps >= 1, "reps must be at least 1"),
             (self.threads >= 1, "threads must be at least 1"),
+            (len(self.algos) >= 1, "algos names no algorithm"),
             (len(set(self.algos)) == len(self.algos), "algos names an algorithm twice"),
+            (self.weight in SUBSPACE_WEIGHTS, f"weight must be one of {SUBSPACE_WEIGHTS}"),
+            (self.degree_which in ("in", "total"), "degree_which must be 'in' or 'total'"),
             (0.0 <= self.eta < 1.0, "eta must lie in [0, 1)"),
             (0.0 < self.eps <= 1.0, "eps must lie in (0, 1]"),
             (self.k >= 1, "k must be at least 1"),
@@ -416,6 +420,8 @@ def sweep_configs(config: ExperimentConfig, axis: str, values: Sequence) -> list
         if config.mode == "real":
             raise ValueError("rho sweeps a generation parameter; needs synthetic mode")
         return [dataclasses.replace(config, homophily=float(v)) for v in values]
+    if any(int(v) != v for v in values):
+        raise ValueError("a k sweep takes whole numbers")
     return [dataclasses.replace(config, algos=("subspace",), k=int(v)) for v in values]
 
 

@@ -88,7 +88,7 @@ def test_zero_threads_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "--nodes", "40", "--threads", "0")
     assert exc.value.code == 1
-    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -45,6 +45,13 @@ def test_config_validation():
         ExperimentConfig(threads=0)
     with pytest.raises(ValueError, match="unknown algorithm"):
         ExperimentConfig(algos=("degree", "mystery"))
+    with pytest.raises(ValueError, match="algos names no algorithm"):
+        ExperimentConfig(algos=())
+    # the rankers' own choices are checked before a run creates out_dir
+    with pytest.raises(ValueError, match="weight must be one of"):
+        ExperimentConfig(weight="bogus")
+    with pytest.raises(ValueError, match="degree_which"):
+        ExperimentConfig(degree_which="out")
     # the stopping rule and the generator parameters are checked up front
     with pytest.raises(ValueError, match="tol"):
         ExperimentConfig(tol=0.0)
@@ -348,6 +355,8 @@ def test_sweep_validation(tmp_path):
         sweep(config, "outdeg", [1])
     with pytest.raises(ValueError, match="empty sweep"):
         sweep(config, "k", [])
+    with pytest.raises(ValueError, match="whole numbers"):
+        sweep(config, "k", [2, 3.7])
     real = small_config(tmp_path, edge_file="e.tsv", color_file="c.tsv")
     with pytest.raises(ValueError, match="needs synthetic mode"):
         sweep(real, "rho", [0.5])

@@ -1,8 +1,13 @@
 """Graph container, degree statistics, and tail-fit tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fairank.graph
 import oracles
 from fairank.graph import (
     Color,
@@ -17,6 +22,16 @@ from fairank.graph import (
 
 EDGES = [(0, 1), (0, 2), (2, 1), (3, 0), (3, 1), (0, 1)]  # one parallel edge
 COLORS = [Color.R, Color.B, Color.B, Color.R]
+
+
+def test_importing_the_graph_module_loads_no_other_fairank_module():
+    # the package root re-exports nothing, so it imports no module of its own
+    code = ("import sys, fairank.graph; print(*sorted(name for name in sys.modules "
+            "if name.partition('.')[0] == 'fairank'))")
+    src = os.path.dirname(os.path.dirname(fairank.graph.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.split() == ["fairank", "fairank.graph"]
 
 
 def test_color_parse():
