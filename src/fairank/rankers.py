@@ -49,6 +49,10 @@ _STALL_ANGLE_TOL = 1e-8
 _FILTER_DEGREE = 4
 _FILTER_MAX_GAIN = 1e6
 
+# the Krylov start of _ritz_topk gives up after this many products with A^T A
+# per row of the block, the work of as many plain sweeps
+_KRYLOV_SWEEPS = 20
+
 
 @dataclass(frozen=True)
 class IterationControl:
@@ -57,7 +61,9 @@ class IterationControl:
     ``tol`` bounds the L1 distance between successive (normalized)
     iterates, or for the Ritz solver of HITS and subspace HITS the sine of
     the largest angle between successive leading subspaces; ``max_iter``
-    caps the number of full update sweeps.
+    caps the number of full update sweeps. The Ritz solver's sweeps follow
+    a Krylov start of at most 20 (k + 2) products with A^T A, not counted
+    and skipped on graphs of at most max(21, 2k + 9) nodes.
     """
 
     tol: float = 1e-10
@@ -312,6 +318,54 @@ def randomized_hits(
     return auth, hub
 
 
+def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng) -> Optional[np.ndarray]:
+    """The leading k Ritz rows of A^T A from a Krylov–Schur run, or None.
+
+    Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + 1 rows,
+    m = max(20, 2b + 4) for the block of b = k + 2 rows it starts, so a
+    restart has room to grow at any k. Each row is reorthogonalized in full
+    (two passes) against those before it; the first is A^T A times a normal
+    draw of ``rng``, so the basis lies in the range of A^T A. A restart
+    keeps the leading p = k + 4 Ritz rows and the residual row. The run
+    ends when each of the leading k + 1 Ritz pairs has a residual
+    |beta y_m| of at most ``tol`` theta_1. It does not run on graphs of at
+    most m + 1 nodes, and gives up on a breakdown (beta below 1e-12
+    theta_1: an invariant subspace) or when a restart would pass
+    _KRYLOV_SWEEPS (k + 2) products.
+    """
+    m, p = max(20, 2 * k + 8), k + 4
+    if g.n <= m + 1:
+        return None
+    basis = np.empty((m + 1, g.n))
+    t = np.zeros((m, m))
+    basis[0] = _unit(_backward(g, _forward(g, rng.standard_normal(g.n))))
+    first, products, scale = 0, 1, 0.0
+    while True:
+        for j in range(first, m):
+            w = _backward(g, _forward(g, basis[j]))
+            scale = max(scale, float(np.sqrt(w @ w)))
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            again = basis[: j + 1] @ w
+            w -= again @ basis[: j + 1]
+            t[: j + 1, j] = t[j, : j + 1] = h + again
+            beta = float(np.sqrt(w @ w))
+            if not beta > 1e-12 * scale:
+                return None
+            basis[j + 1] = w / beta
+        products += m - first
+        theta, y = np.linalg.eigh(t)
+        theta, y = theta[::-1], y[:, ::-1]
+        if np.all(np.abs(beta * y[-1, : k + 1]) <= tol * theta[0]):
+            return y[:, :k].T @ basis[:m]
+        if products + m - p > _KRYLOV_SWEEPS * (k + 2):
+            return None
+        basis[:p] = y[:, :p].T @ basis[:m]
+        basis[p] = basis[m]
+        t = np.diag(np.pad(theta[:p], (0, m - p)))
+        first = p
+
+
 def _orthonormal_rows(z: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the row space of the (b, n) block ``z``.
 
@@ -450,10 +504,15 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     """Leading Ritz pairs of A^T A by Chebyshev-filtered block subspace iteration.
 
     The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
-    array, so every matvec reads a contiguous row. It starts from a fixed
-    internal seed. Each sweep multiplies the block by A^T A once and takes
-    the Ritz pairs. The next block is the Ritz rows passed through a
-    Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
+    array, so every matvec reads a contiguous row. It starts from the k
+    leading Ritz rows of a Krylov–Schur run (``_krylov_start``: a basis of
+    max(20, 2b + 4) rows, at most 20 b products with A^T A) and b - k
+    normal rows, or cold from b normal rows when n is at most the basis
+    size or that run gives up; both draw from a fixed internal seed. Only
+    the block solver judges convergence and ties: a single-vector Krylov
+    space cannot see a tie. Each sweep multiplies the block by A^T A once
+    and takes the Ritz pairs. The next block is the Ritz rows passed
+    through a Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
     [0, theta_b], theta_b the smallest Ritz value; its first term is the
     product already taken, so a sweep costs m block products. The filtered
     rows are normalized and re-orthonormalized by Cholesky-QR2, falling
@@ -478,7 +537,13 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     b = min(k + 2, n)
     bounds = sorted({*lower, k})
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
-    q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)
+    start = _krylov_start(g, k, angle_tol, rng)
+    if start is None:  # cold, from a fresh draw of the same seed
+        rng = np.random.Generator(np.random.PCG64(0x5A11E57))
+        q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)
+    else:
+        q = _orthonormal_rows(np.vstack((start, rng.standard_normal((b - k, n)))))
+        del start
     theta = np.zeros(b)
     ritz = q
     prev = None

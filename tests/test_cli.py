@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +234,19 @@ def test_curve_outputs_and_svg(tmp_path):
     assert len(curves) == 1 + 2 * 10
     assert (tmp_path / "curves.svg").exists()
     assert (tmp_path / "stats.csv").exists()
+
+
+def test_a_curve_run_loads_no_scipy(tmp_path):
+    # the runtime is NumPy-only, the eigensolver included; SciPy is a
+    # test-side oracle, and this process has loaded it already
+    argv = ["curve", "--nodes", "200", "--reps", "2", "--algos", "hits", "subspace",
+            "--strict", "--out-dir", str(tmp_path)]
+    code = (f"import sys; from fairank.cli import main; assert main({argv!r}) == 0; "
+            "print(*sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.split() == []
 
 
 def test_curve_weight_flag_maps_to_internal_name(tmp_path):

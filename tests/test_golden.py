@@ -109,7 +109,7 @@ GOLDEN = {
     },
     "rank_files": {
         "ranking.csv":
-            "e39cc59bab75762409837ea9ae6957f00e9c602d07dd60e9581cd8d3fb4aab48",
+            "cb2df0bf77800c0edba3d10d84a2c251b442e4058492c09f21821b45390a3174",
     },
     "sweep_rho": {
         "manifest.json":

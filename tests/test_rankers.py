@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from fairank import rankers
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
@@ -390,18 +391,77 @@ ORDER_SHA256 = {
 @pytest.mark.parametrize("seed, sweeps, hits_iterations", [
     (1, 12, 6), (2, 14, 6), (3, 12, 7), (11, 11, 7),
 ])
-def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations):
-    # the sweep counts of the Chebyshev-filtered solver (plain subspace
-    # iteration took 105/139/61/78): a change that weakens the filter or
-    # lowers its degree shows here, and the order digests show any node the
-    # filter moves. HITS runs the same solver at k = 1 (its power loop took
-    # 31/69/55/53 iterations)
+def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations, monkeypatch):
+    # From the Krylov start the block solver takes 2 sweeps, the fewest its
+    # stop test allows (one to take the Ritz pairs, one to measure their
+    # angle), for subspace HITS and for HITS alike: a start that stops
+    # short of the tolerance shows here. The parametrized counts are those
+    # of the cold solve, the Chebyshev-filtered block iteration alone
+    # (plain subspace iteration took 105/139/61/78 sweeps, and the HITS
+    # power loop 31/69/55/53 iterations): a change that weakens the filter
+    # or lowers its degree shows there. The order digests show any node
+    # that either path moves
     g = _bpam_1000(seed)
-    res = subspace_hits(g, 6)
-    assert res.iterations_used == sweeps
-    assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[seed]
+    for expected_sweeps, expected_hits in ((2, 2), (sweeps, hits_iterations)):
+        res = subspace_hits(g, 6)
+        assert res.iterations_used == expected_sweeps
+        assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[seed]
+        auth, hub = hits(g)
+        assert auth.iterations_used == hub.iterations_used == expected_hits
+        monkeypatch.setattr(rankers, "_krylov_start", lambda *args: None)
+
+
+@pytest.fixture
+def krylov_starts(monkeypatch):
+    """What each Krylov start of the Ritz solver returned: its rows, or None."""
+    starts = []
+    start = rankers._krylov_start
+    monkeypatch.setattr(rankers, "_krylov_start",
+                        lambda *args: starts.append(start(*args)) or starts[-1])
+    return starts
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 1.0])
+def test_one_warm_solve_matches_the_dense_oracle_at_every_k(rho, krylov_starts):
+    g, _ = generate(BpamParams(1000, 6, 0.3, rho), seed=1)
+    edges = list(zip(g.src.tolist(), g.dst.tolist()))
+    spectrum = Spectrum(g, (1, 3, 6))
+    for k in (1, 3, 6):
+        res = subspace_hits(g, k, spectrum=spectrum)
+        assert res.converged and not res.degenerate
+        expected = oracles.dense_subspace_scores(edges, g.n, k, "unit")
+        assert np.max(np.abs(res.scores - expected)) <= 1e-11
+    (start,) = krylov_starts
+    assert start is not None
+
+
+@pytest.mark.parametrize("k, cold_sweeps", [(16, 21), (18, 26), (25, 42)])
+def test_the_krylov_start_serves_large_k(k, cold_sweeps, krylov_starts):
+    # the basis grows with k, so a restart keeps room for new rows. A basis
+    # of 20 rows left none at these k (p = k + 4 > 20): the start ran to its
+    # cap, and the cold solve after it takes 21, 26 and 42 sweeps
+    g, _ = generate(BpamParams(1000, 6, 0.3, 0.5), seed=1)
+    res = subspace_hits(g, k)
+    (start,) = krylov_starts
+    assert start is not None
+    assert res.converged and res.iterations_used <= cold_sweeps
+    edges = list(zip(g.src.tolist(), g.dst.tolist()))
+    expected = oracles.dense_subspace_scores(edges, g.n, k, "unit")
+    assert np.max(np.abs(res.scores - expected)) <= 1e-11
+
+
+def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(krylov_starts):
+    # ten disjoint copies of one in-star (n = 40, above the 21-row basis):
+    # A^T A has the eigenvalues 3 (ten-fold) and 0 alone, so the Krylov space
+    # is invariant after one product and the start breaks down. The block
+    # solver then starts cold, converges and flags the tie
+    edges = [(4 * c + leaf, 4 * c + 3) for c in range(10) for leaf in range(3)]
+    g = _graph(edges, 40)
     auth, hub = hits(g)
-    assert auth.iterations_used == hub.iterations_used == hits_iterations
+    res = subspace_hits(g, 3)
+    assert krylov_starts == [None, None]
+    assert auth.converged and auth.degenerate and hub.degenerate
+    assert res.converged and res.degenerate
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -686,9 +746,9 @@ def test_a_single_sweep_reports_an_infinite_residual():
 # SHA-256 over the scores and (iterations, converged, residual) of pagerank,
 # hits and randomized_hits on one n=1000 BPAM graph, at three stopping rules
 POWER_ITERATION_SHA256 = {
-    1000: "46569ee21fcf7b82330d5167aa685719e27fd1d339043405371694f41d22c00b",
-    1: "5819322cff18dc0611bb41b41c47b405a2258ad08c1f309ac47855355c2170bb",
-    2: "2d8056a24b2337af3b56fb4b2c6c61b2f1a683cac0b0cb03adce5f395331677b",
+    1000: "fdacadd61610ba765148815234b2a335ce6d982d52a8b70301379282cb6dcb31",
+    1: "6eade1a3c7e8d4e8730d5ae2f66d5b75af4bbde385fb817965b6c1fb8ce2f9c5",
+    2: "f88518d314b2c8ffce8e99e2caf54e2588837a8f1fc8b641b6dac5c94faa2280",
 }
 
 
