@@ -62,8 +62,7 @@ class IterationControl:
     iterates, or for the Ritz solver of HITS and subspace HITS the sine of
     the largest angle between successive leading subspaces; ``max_iter``
     caps the number of full update sweeps. The Ritz solver's sweeps follow
-    a Krylov start of at most 20 (k + 2) products with A^T A, not counted
-    and skipped on graphs of at most max(21, 2k + 9) nodes.
+    an uncounted Krylov start (see ``_krylov_start``).
     """
 
     tol: float = 1e-10
@@ -322,16 +321,15 @@ def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng) -> Optional[np.nda
     """The leading k Ritz rows of A^T A from a Krylov–Schur run, or None.
 
     Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + 1 rows,
-    m = max(20, 2b + 4) for the block of b = k + 2 rows it starts, so a
-    restart has room to grow at any k. Each row is reorthogonalized in full
-    (two passes) against those before it; the first is A^T A times a normal
-    draw of ``rng``, so the basis lies in the range of A^T A. A restart
-    keeps the leading p = k + 4 Ritz rows and the residual row. The run
-    ends when each of the leading k + 1 Ritz pairs has a residual
-    |beta y_m| of at most ``tol`` theta_1. It does not run on graphs of at
-    most m + 1 nodes, and gives up on a breakdown (beta below 1e-12
-    theta_1: an invariant subspace) or when a restart would pass
-    _KRYLOV_SWEEPS (k + 2) products.
+    m = max(20, 2b + 4) for a block of b = k + 2, so a restart has room to
+    grow at any k, with two-pass full reorthogonalization. The first row is
+    A^T A times a normal draw of ``rng``, so the basis lies in the range of
+    A^T A; a restart keeps the leading p = k + 4 Ritz rows and the residual
+    row. The run ends when each of the leading k + 1 Ritz pairs has a
+    residual |beta y_m| of at most ``tol`` theta_1. It is skipped when
+    n <= m + 1, and gives up on a breakdown (beta below 1e-12 theta_1: an
+    invariant subspace) or when a restart would pass _KRYLOV_SWEEPS b
+    products.
     """
     m, p = max(20, 2 * k + 8), k + 4
     if g.n <= m + 1:
@@ -505,14 +503,17 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
 
     The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
     array, so every matvec reads a contiguous row. It starts from the k
-    leading Ritz rows of a Krylov–Schur run (``_krylov_start``: a basis of
-    max(20, 2b + 4) rows, at most 20 b products with A^T A) and b - k
-    normal rows, or cold from b normal rows when n is at most the basis
-    size or that run gives up; both draw from a fixed internal seed. Only
-    the block solver judges convergence and ties: a single-vector Krylov
-    space cannot see a tie. Each sweep multiplies the block by A^T A once
-    and takes the Ritz pairs. The next block is the Ritz rows passed
-    through a Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
+    leading Ritz rows of an uncounted Krylov start (``_krylov_start``) and
+    b - k normal rows. A Krylov space holds one direction of a tied
+    eigenspace, and the gap test would pass before the normal rows found
+    the others, so a second start from an independent draw must agree
+    within sqrt(``angle_tol``): on a tie at or above theta_k the two
+    leading-k subspaces part at a random angle. Otherwise, or when a start
+    is skipped or gives up, the block starts cold from b normal rows; all
+    draws come from a fixed internal seed. Only the block solver judges
+    convergence and ties. Each sweep multiplies the block by A^T A once and
+    takes the Ritz pairs. The next block is the Ritz rows passed through a
+    Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
     [0, theta_b], theta_b the smallest Ritz value; its first term is the
     product already taken, so a sweep costs m block products. The filtered
     rows are normalized and re-orthonormalized by Cholesky-QR2, falling
@@ -538,6 +539,11 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     bounds = sorted({*lower, k})
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
     start = _krylov_start(g, k, angle_tol, rng)
+    if start is not None:
+        second = _krylov_start(g, k, angle_tol, rng)
+        if second is None or _sin_largest_angle(start, second) > np.sqrt(angle_tol):
+            start = None
+        del second
     if start is None:  # cold, from a fresh draw of the same seed
         rng = np.random.Generator(np.random.PCG64(0x5A11E57))
         q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)

@@ -52,9 +52,9 @@ def batch_cache():
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Results of every _ritz_topk and _fixed_point call, by function name."""
+    """Results of every _ritz_topk, _krylov_start and _fixed_point call, by function name."""
     calls = defaultdict(list)
-    for name in ("_ritz_topk", "_fixed_point"):
+    for name in ("_ritz_topk", "_krylov_start", "_fixed_point"):
         def spy(*args, _name=name, _solve=getattr(rankers, name)):
             calls[_name].append(_solve(*args))
             return calls[_name][-1]

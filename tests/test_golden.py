@@ -109,7 +109,7 @@ GOLDEN = {
     },
     "rank_files": {
         "ranking.csv":
-            "cb2df0bf77800c0edba3d10d84a2c251b442e4058492c09f21821b45390a3174",
+            "548361832e6484bfd4b310ebea67bdcf836eba4e81182d4d88cb36787c056423",
     },
     "sweep_rho": {
         "manifest.json":

@@ -411,18 +411,8 @@ def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations, monke
         monkeypatch.setattr(rankers, "_krylov_start", lambda *args: None)
 
 
-@pytest.fixture
-def krylov_starts(monkeypatch):
-    """What each Krylov start of the Ritz solver returned: its rows, or None."""
-    starts = []
-    start = rankers._krylov_start
-    monkeypatch.setattr(rankers, "_krylov_start",
-                        lambda *args: starts.append(start(*args)) or starts[-1])
-    return starts
-
-
 @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0])
-def test_one_warm_solve_matches_the_dense_oracle_at_every_k(rho, krylov_starts):
+def test_one_warm_solve_matches_the_dense_oracle_at_every_k(rho, solver_calls):
     g, _ = generate(BpamParams(1000, 6, 0.3, rho), seed=1)
     edges = list(zip(g.src.tolist(), g.dst.tolist()))
     spectrum = Spectrum(g, (1, 3, 6))
@@ -431,26 +421,26 @@ def test_one_warm_solve_matches_the_dense_oracle_at_every_k(rho, krylov_starts):
         assert res.converged and not res.degenerate
         expected = oracles.dense_subspace_scores(edges, g.n, k, "unit")
         assert np.max(np.abs(res.scores - expected)) <= 1e-11
-    (start,) = krylov_starts
-    assert start is not None
+    starts = solver_calls["_krylov_start"]
+    assert len(starts) == 2 and all(start is not None for start in starts)
 
 
 @pytest.mark.parametrize("k, cold_sweeps", [(16, 21), (18, 26), (25, 42)])
-def test_the_krylov_start_serves_large_k(k, cold_sweeps, krylov_starts):
+def test_the_krylov_start_serves_large_k(k, cold_sweeps, solver_calls):
     # the basis grows with k, so a restart keeps room for new rows. A basis
     # of 20 rows left none at these k (p = k + 4 > 20): the start ran to its
     # cap, and the cold solve after it takes 21, 26 and 42 sweeps
     g, _ = generate(BpamParams(1000, 6, 0.3, 0.5), seed=1)
     res = subspace_hits(g, k)
-    (start,) = krylov_starts
-    assert start is not None
+    starts = solver_calls["_krylov_start"]
+    assert len(starts) == 2 and all(start is not None for start in starts)
     assert res.converged and res.iterations_used <= cold_sweeps
     edges = list(zip(g.src.tolist(), g.dst.tolist()))
     expected = oracles.dense_subspace_scores(edges, g.n, k, "unit")
     assert np.max(np.abs(res.scores - expected)) <= 1e-11
 
 
-def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(krylov_starts):
+def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(solver_calls):
     # ten disjoint copies of one in-star (n = 40, above the 21-row basis):
     # A^T A has the eigenvalues 3 (ten-fold) and 0 alone, so the Krylov space
     # is invariant after one product and the start breaks down. The block
@@ -459,9 +449,41 @@ def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(krylov_starts):
     g = _graph(edges, 40)
     auth, hub = hits(g)
     res = subspace_hits(g, 3)
-    assert krylov_starts == [None, None]
+    assert solver_calls["_krylov_start"] == [None, None]
     assert auth.converged and auth.degenerate and hub.degenerate
     assert res.converged and res.degenerate
+
+
+def _two_copies(g):
+    edges = np.stack([g.src, g.dst], axis=1)
+    return from_edge_list(np.vstack([edges, edges + g.n]), np.concatenate([g.colors, g.colors]))
+
+
+def test_a_tie_that_each_krylov_start_sees_once_leaves_a_cold_solve(solver_calls):
+    # two disjoint copies of one graph (n = 2000): every eigenvalue of A^T A
+    # is doubled, and there are hundreds of distinct ones, so neither start
+    # breaks down. At k = 1 and k = 3 a doubled eigenvalue straddles the
+    # boundary, and each start holds its own random direction of it: the two
+    # leading subspaces part, the block runs cold and flags the tie. At k = 2
+    # and k = 6 the boundary falls between pairs, and the scores are those of
+    # one copy's dense eigenspace, on both copies
+    one = _bpam_1000(2)
+    g = _two_copies(one)
+    edges = list(zip(one.src.tolist(), one.dst.tolist()))
+    auth, hub = hits(g)
+    limit = oracles.dense_hits_limit(edges, one.n)
+    assert auth.converged and auth.degenerate and hub.degenerate
+    assert np.max(np.abs(auth.scores - np.tile(limit, 2) / np.sqrt(2))) < 1e-10
+    for k, tied in ((1, True), (2, False), (3, True), (6, False)):
+        res = subspace_hits(g, k)
+        assert res.converged and res.degenerate == tied
+        if not tied:
+            expected = oracles.dense_subspace_scores(edges, one.n, k // 2, "unit")
+            assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-11
+    starts = solver_calls["_krylov_start"]
+    assert len(starts) == 10 and all(start is not None for start in starts)
+    parted = [rankers._sin_largest_angle(a, b) > 1e-5 for a, b in zip(starts[::2], starts[1::2])]
+    assert parted == [True, True, False, True, False]  # hits, then k = 1, 2, 3, 6
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -746,9 +768,9 @@ def test_a_single_sweep_reports_an_infinite_residual():
 # SHA-256 over the scores and (iterations, converged, residual) of pagerank,
 # hits and randomized_hits on one n=1000 BPAM graph, at three stopping rules
 POWER_ITERATION_SHA256 = {
-    1000: "fdacadd61610ba765148815234b2a335ce6d982d52a8b70301379282cb6dcb31",
-    1: "6eade1a3c7e8d4e8730d5ae2f66d5b75af4bbde385fb817965b6c1fb8ce2f9c5",
-    2: "f88518d314b2c8ffce8e99e2caf54e2588837a8f1fc8b641b6dac5c94faa2280",
+    1000: "8622e3bd845854fe96f70bafc06c250d39f067f1c6378ac375aa7947de046151",
+    1: "e945696a336ad052cbb00fd36ee9a44931577eec4d2007e87a68e37ecbfbc727",
+    2: "aacace75d6766a3b2f0cb841cd1138692295de0ae4633641bd128caac8596ee6",
 }
 
 
