@@ -53,16 +53,21 @@ _FILTER_MAX_GAIN = 1e6
 # per row of the block, the work of as many plain sweeps
 _KRYLOV_SWEEPS = 20
 
+# how many past steps the Anderson mixing of _fixed_point draws on
+_ANDERSON_DEPTH = 4
+
 
 @dataclass(frozen=True)
 class IterationControl:
     """Stopping rule for iterative rankers.
 
-    ``tol`` bounds the L1 distance between successive (normalized)
-    iterates, or for the Ritz solver of HITS and subspace HITS the sine of
-    the largest angle between successive leading subspaces; ``max_iter``
-    caps the number of full update sweeps. The Ritz solver's sweeps follow
-    an uncounted Krylov start (see ``_krylov_start``).
+    For PageRank, randomized HITS and HITS on a tied top eigenvalue, one
+    iteration is one evaluation of the update map F (``_fixed_point``) and
+    ``tol`` bounds the L1 norm of F(x) - x at the last point evaluated. For
+    the Ritz solver of HITS and subspace HITS one iteration is one block
+    sweep, and ``tol`` bounds the sine of the largest angle between
+    successive leading subspaces; the sweeps follow an uncounted Krylov
+    start (see ``_krylov_start``). ``max_iter`` caps the iterations.
     """
 
     tol: float = 1e-10
@@ -79,19 +84,50 @@ _DEFAULT_CTRL = IterationControl()
 
 
 def _fixed_point(step, x, it, ctrl: IterationControl):
-    """Iterate ``x = step(x)`` under the stopping rule of ``ctrl``.
+    """Solve ``x = step(x)`` by Anderson-accelerated fixed-point iteration.
 
-    ``it`` counts the sweeps already spent on the starting ``x``. Returns
-    (x, iterations, converged, residual); residual is the L1 change of the
-    last sweep, inf if none ran.
+    Type-II Anderson mixing of depth _ANDERSON_DEPTH (Walker & Ni, SIAM J.
+    Numer. Anal. 49(4), 2011): with f = step(x) and residual r = f - x, the
+    next point is f - dF @ gamma, where the rows of dF and dR hold the
+    differences of the last few map outputs and residuals, and gamma
+    minimizes ||r - dR^T gamma||_2 through the normal equations of the small
+    Gram matrix dR dR^T. The history is cleared when that solve is singular
+    or when the L1 residual grows more than tenfold.
+
+    One iteration is one evaluation of ``step``; ``it`` counts those already
+    spent on the starting ``x``. Returns (f, iterations, converged,
+    residual): f is the last map output (``x`` itself if none ran) and
+    residual the L1 norm of r at the last point evaluated, inf if none ran.
     """
+    d_out = np.empty((_ANDERSON_DEPTH, x.size))
+    d_res = np.empty_like(d_out)
+    filled = head = 0
+    f = x
+    r = None
     residual = np.inf
     while it < ctrl.max_iter and not residual < ctrl.tol:
         it += 1
-        x_new = step(x)
-        residual = float(np.abs(x_new - x).sum())
-        x = x_new
-    return x, it, residual < ctrl.tol, residual
+        f_new = step(x)
+        r_new = f_new - x
+        last, residual = residual, float(np.abs(r_new).sum())
+        if residual > 10.0 * last:
+            filled = head = 0
+        elif r is not None:
+            np.subtract(f_new, f, out=d_out[head])
+            np.subtract(r_new, r, out=d_res[head])
+            head = (head + 1) % _ANDERSON_DEPTH
+            filled = min(filled + 1, _ANDERSON_DEPTH)
+        f, r = f_new, r_new
+        x = f
+        if filled and not residual < ctrl.tol:
+            dr = d_res[:filled]
+            try:
+                gamma = np.linalg.solve(dr @ dr.T, dr @ r)
+            except np.linalg.LinAlgError:
+                filled = head = 0
+            else:
+                x = f - gamma @ d_out[:filled]
+    return f, it, residual < ctrl.tol, residual
 
 
 @dataclass(frozen=True)
@@ -156,11 +192,12 @@ def degree_rank(g: ColoredDigraph, which: str = "total") -> RankingResult:
 def pagerank(
     g: ColoredDigraph, eta: float = 0.85, ctrl: IterationControl = _DEFAULT_CTRL
 ) -> RankingResult:
-    """Random-surfer scores: power iteration on x = eta*P'x + (1-eta)/n.
+    """Random-surfer scores: the fixed point of x = eta*P'x + (1-eta)/n.
 
     P' is the out-degree-normalized transition matrix with the mass of
     zero-outdegree nodes redistributed uniformly; the teleport vector is
-    uniform. Scores are kept normalized to sum exactly 1.
+    uniform. Each update is normalized to sum 1, and the scores are the
+    last update.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
@@ -203,8 +240,10 @@ def hits(
     ``spectrum`` (a :class:`Spectrum` of ``g`` that holds k = 1) or from a
     solve of its own at k = 1; an iteration is then a sweep of that solve.
     On a tied one only the all-ones start picks the limit, so the
-    reinforcement loop runs. Returns (authorities, hubs); both carry the
-    same convergence flags.
+    reinforcement loop runs. Authorities below ``ctrl.tol`` times the
+    largest are below what either solve resolves and are set to 0.0, so
+    their ties break by node id. Returns (authorities, hubs); both carry
+    the same convergence flags.
     """
     if g.n_edges == 0:
         raise GraphError("hub/authority scores need at least one edge")
@@ -224,8 +263,9 @@ def hits(
             lambda a: authority_of(hub_of(a)), authority_of(np.ones(g.n)), 1, ctrl
         )
     else:
-        sign = 1.0 if ritz[0] @ g.indeg > 0 else -1.0
-        a = sign * ritz[0] + 0.0  # + 0.0 turns the -0.0 of exact zeros into 0.0
+        a = ritz[0]
+    a = a * (1.0 if a @ g.indeg > 0 else -1.0)
+    a[np.abs(a) < ctrl.tol * np.abs(a).max()] = 0.0  # below what the solve resolves
     h = hub_of(a)
     auth = RankingResult("hits_authority", a, rank_order(a), it, converged, residual, tied)
     hub = RankingResult("hits_hub", h, rank_order(h), it, converged, residual, tied)
@@ -633,7 +673,9 @@ def subspace_hits(
     (a :class:`Spectrum` of ``g`` that holds ``k``) or from a solve of its
     own, and scores node j as sum_i f(lambda_i) * v_i[j]**2 with f = 1
     (``weight="unit"``) or f = lambda**2 (``weight="lambda_sq"``).
-    Squaring removes the eigenvector sign ambiguity. A degenerate flag is
+    Squaring removes the eigenvector sign ambiguity. Scores below
+    ``ctrl.tol``**2 times the sum of the weights are below what the solve
+    resolves and are set to 0.0. A degenerate flag is
     set when k exceeds the numeric rank (trailing requested eigenvalues are
     ~0) or when the k-th and (k+1)-th eigenvalues coincide, making the
     chosen subspace arbitrary.
@@ -649,6 +691,7 @@ def subspace_hits(
     degenerate = _tied(theta, k) or bool(top[-1] <= theta[0] * 1e-12)
     f_weights = np.ones(k) if weight == "unit" else top**2
     scores = f_weights @ ritz[:k] ** 2
+    scores[scores < ctrl.tol**2 * f_weights.sum()] = 0.0  # below what the solve resolves
     return RankingResult(
         "subspace_hits", scores, rank_order(scores), it, converged, angle, degenerate
     )

@@ -101,7 +101,7 @@ GOLDEN = {
     },
     "rank_synthetic": {
         "ranking.csv":
-            "51681f0f39abf9dc63ed793bcd84235ec16ad93fe19881d86dd8543300e9b840",
+            "8a5c2f1e1960bcb0f7cd823aeeec6815a5c66bc27293a8154c29558bde1f93cd",
     },
     "rank_synthetic_degree": {
         "ranking.csv":
