@@ -808,12 +808,13 @@ def test_a_jump_in_the_residual_clears_the_anderson_history():
         calls.append((x, y))
         return y
 
-    x, _, converged, _ = _fixed_point(step, np.zeros(50), 0, IterationControl())
-    residuals = [np.abs(y - x).sum() for x, y in calls]
+    ctrl = IterationControl()
+    x, _, converged, _ = _fixed_point(step, np.zeros(50), 0, ctrl)
+    residuals = [np.abs(out - point).sum() for point, out in calls]
     assert residuals[5] > 10 * residuals[4]
-    mixed = [not np.array_equal(x, y_prev) for (_, y_prev), (x, _) in zip(calls, calls[1:])]
+    mixed = [not np.array_equal(point, out) for (_, out), (point, _) in zip(calls, calls[1:])]
     assert mixed[:8] == [False, True, True, True, True, False, True, True]
-    assert converged and np.linalg.norm(x - exact) < 1e-10 / (1 - 0.95)
+    assert converged and np.linalg.norm(x - exact) < ctrl.tol / (1 - 0.95)
 
 
 def test_iteration_control_validation():
