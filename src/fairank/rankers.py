@@ -240,10 +240,10 @@ def hits(
     ``spectrum`` (a :class:`Spectrum` of ``g`` that holds k = 1) or from a
     solve of its own at k = 1; an iteration is then a sweep of that solve.
     On a tied one only the all-ones start picks the limit, so the
-    reinforcement loop runs. Authorities below ``ctrl.tol`` times the
-    largest are below what either solve resolves and are set to 0.0, so
-    their ties break by node id. Returns (authorities, hubs); both carry
-    the same convergence flags.
+    reinforcement loop runs, and its limit is signed the same way.
+    Authorities below ``ctrl.tol`` times the largest are below what either
+    solve resolves and are set to 0.0, so their ties break by node id.
+    Returns (authorities, hubs); both carry the same convergence flags.
     """
     if g.n_edges == 0:
         raise GraphError("hub/authority scores need at least one edge")
