@@ -188,7 +188,8 @@ def mf_ratio(r: float, rho: float) -> float:
 class MeanFieldReport:
     """All closed-form quantities at one (r, rho) point.
 
-    ``f_ratio`` is NaN at rho = 0, where the ratio is undefined.
+    ``f_ratio`` is NaN wherever the ratio is undefined: at rho = 0, and
+    where blue picks up no blue mass (q_BB = 0, as at r = 1).
     """
 
     r: float
@@ -211,7 +212,10 @@ def mean_field_report(r: float, rho: float) -> MeanFieldReport:
     p_out, p_in = attachment_probs(alpha, rho, r)
     k_b, k_r, beta_b, beta_r = exponents(r, rho)
     q = q_matrix(p_out, p_in)
-    f_ratio = mf_ratio(r, rho) if rho > 0.0 else float("nan")
+    try:
+        f_ratio = mf_ratio(r, rho)
+    except ValueError:  # the point is valid, so the ratio is undefined there
+        f_ratio = float("nan")
     return MeanFieldReport(
         r=r, rho=rho, alpha=alpha, p_out=p_out, p_in=p_in,
         k_blue=k_b, k_red=k_r, beta_blue=beta_b, beta_red=beta_r,

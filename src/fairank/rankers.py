@@ -44,13 +44,9 @@ _DEGENERATE_GAP = 1e-8
 # accepted as settled (tighter precision is unattainable there)
 _STALL_ANGLE_TOL = 1e-8
 
-# highest Chebyshev degree of one filtered subspace sweep, and the largest
-# amplification of the top Ritz value over the damped interval it may give
-_FILTER_DEGREE = 4
-_FILTER_MAX_GAIN = 1e6
-
-# the Krylov start of _ritz_topk gives up after this many products with A^T A
-# per row of the block, the work of as many plain sweeps
+# a Krylov start of _ritz_topk stops after this many products with A^T A per
+# row of the sweep block, the work of as many sweeps: a one-row start gives
+# up, and a block start hands its rows to the sweeps
 _KRYLOV_SWEEPS = 20
 
 # how many past steps the Anderson mixing of _fixed_point draws on
@@ -65,9 +61,10 @@ class IterationControl:
     iteration is one evaluation of the update map F (``_fixed_point``) and
     ``tol`` bounds the L1 norm of F(x) - x at the last point evaluated. For
     the Ritz solver of HITS and subspace HITS one iteration is one block
-    sweep, and ``tol`` bounds the sine of the largest angle between
-    successive leading subspaces; the sweeps follow an uncounted Krylov
-    start (see ``_krylov_start``). ``max_iter`` caps the iterations.
+    sweep, one product with A^T A per row of the block, and ``tol`` bounds
+    the sine of the largest angle between successive leading subspaces; the
+    sweeps follow an uncounted Krylov start (see ``_krylov_start`` and
+    ``_ritz_topk``). ``max_iter`` caps the iterations.
     """
 
     tol: float = 1e-10
@@ -357,51 +354,77 @@ def randomized_hits(
     return auth, hub
 
 
-def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng) -> Optional[np.ndarray]:
-    """The leading k Ritz rows of A^T A from a Krylov–Schur run, or None.
+def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng, s: int = 1) -> Optional[np.ndarray]:
+    """Leading Ritz rows of A^T A from a Krylov–Schur run with blocks of s rows, or None.
 
-    Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + 1 rows,
-    m = max(20, 2b + 4) for a block of b = k + 2, so a restart has room to
-    grow at any k, with two-pass full reorthogonalization. The first row is
-    A^T A times a normal draw of ``rng``, so the basis lies in the range of
-    A^T A; a restart keeps the leading p = k + 4 Ritz rows and the residual
-    row. The run ends when each of the leading k + 1 Ritz pairs has a
-    residual |beta y_m| of at most ``tol`` theta_1. It is skipped when
-    n <= m + 1, and gives up on a breakdown (beta below 1e-12 theta_1: an
-    invariant subspace) or when a restart would pass _KRYLOV_SWEEPS b
-    products.
+    Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + s rows,
+    m = max(20, 2b + 4) for a sweep block of b = k + 2, so a restart has
+    room to grow at any k, with two-pass full reorthogonalization. The
+    first s rows are A^T A times normal draws of ``rng``, so the basis
+    starts in the range of A^T A. Row j + s is A^T A times row j, the band
+    form of block Lanczos (Ruhe 1979; Zhou & Saad, Numer. Algorithms 47,
+    2008), so the basis holds s directions of every eigenspace. A restart
+    keeps the leading p = k + 4 Ritz rows and the s residual rows. The run
+    settles when each of the leading k + 1 Ritz pairs has a residual norm
+    of at most ``tol`` theta_1, and returns its leading max(k, s) Ritz
+    rows. It is skipped when n <= m + s.
+
+    A breakdown (a product whose new part is below 1e-12 theta_1, so the
+    basis spans an invariant subspace) and a restart that would pass
+    _KRYLOV_SWEEPS b products end a one-row run with None: one row holds
+    one direction of a tied eigenspace. A block run instead refills the
+    row with a normal draw projected off the basis, and at the product cap
+    returns its rows unsettled.
     """
     m, p = max(20, 2 * k + 8), k + 4
-    if g.n <= m + 1:
+    if g.n <= m + s:
         return None
-    basis = np.empty((m + 1, g.n))
-    t = np.zeros((m, m))
-    basis[0] = _unit(_backward(g, _forward(g, rng.standard_normal(g.n))))
-    first, products, scale = 0, 1, 0.0
+    basis = np.empty((m + s, g.n))
+    t = np.zeros((m + s, m + s))
+    for i in range(s):
+        basis[i] = _backward(g, _forward(g, rng.standard_normal(g.n)))
+    if s == 1:
+        _unit(basis[0])
+    else:
+        basis[:s] = _orthonormal_rows(basis[:s])
+    first, products, scale = 0, s, 0.0
     while True:
         for j in range(first, m):
-            w = _backward(g, _forward(g, basis[j]))
+            basis[j + s] = _backward(g, _forward(g, basis[j]))
+            w, done = basis[j + s], basis[: j + s]
             scale = max(scale, float(np.sqrt(w @ w)))
-            h = basis[: j + 1] @ w
-            w -= h @ basis[: j + 1]
-            again = basis[: j + 1] @ w
-            w -= again @ basis[: j + 1]
-            t[: j + 1, j] = t[j, : j + 1] = h + again
+            t[: j + s, j] = t[j, : j + s] = _project_off(w, done)
             beta = float(np.sqrt(w @ w))
-            if not beta > 1e-12 * scale:
+            if beta > 1e-12 * scale:
+                w /= beta
+            elif s == 1:
                 return None
-            basis[j + 1] = w / beta
+            else:  # the product lies in the basis: refill the row
+                w[:] = rng.standard_normal(g.n)
+                _project_off(w, done)
+                _unit(w)
+                beta = 0.0
+            t[j + s, j] = beta
         products += m - first
-        theta, y = np.linalg.eigh(t)
+        theta, y = np.linalg.eigh(t[:m, :m])
         theta, y = theta[::-1], y[:, ::-1]
-        if np.all(np.abs(beta * y[-1, : k + 1]) <= tol * theta[0]):
-            return y[:, :k].T @ basis[:m]
-        if products + m - p > _KRYLOV_SWEEPS * (k + 2):
-            return None
+        settled = bool(np.all(np.linalg.norm(t[m:, :m] @ y[:, : k + 1], axis=0) <= tol * theta[0]))
+        if settled or products + m - p > _KRYLOV_SWEEPS * (k + 2):
+            return y[:, : max(k, s)].T @ basis[:m] if settled or s > 1 else None
         basis[:p] = y[:, :p].T @ basis[:m]
-        basis[p] = basis[m]
-        t = np.diag(np.pad(theta[:p], (0, m - p)))
+        basis[p : p + s] = basis[m:]
+        t = np.diag(np.pad(theta[:p], (0, m + s - p)))
         first = p
+
+
+def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Removes from ``w``, in place, its part in the span of the orthonormal
+    ``rows`` by two Gram–Schmidt passes; returns the summed coefficients."""
+    h = rows @ w
+    w -= h @ rows
+    again = rows @ w
+    w -= again @ rows
+    return h + again
 
 
 def _orthonormal_rows(z: np.ndarray) -> np.ndarray:
@@ -436,50 +459,6 @@ def _sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(resid @ resid.T)[-1], 0.0)))
 
 
-def _chebyshev_rows(
-    g: ColoredDigraph, x: np.ndarray, ax: np.ndarray, bottom: float, degree: int
-) -> np.ndarray:
-    """T_m(L) applied to each row of ``x``, m = ``degree``, L = 2 A^T A / bottom - 1.
-
-    L sends the damped interval [0, bottom] onto [-1, 1], where T_m stays
-    within 1; above it T_m grows faster than any other polynomial of degree
-    m bounded by 1 there. ``ax`` must hold A^T A x and is overwritten. Each
-    step T_{j+1} = 2 L T_j - T_{j-1} runs one row at a time and writes over
-    T_{j-1}, so the recurrence needs one block beyond ``x`` and ``ax``, and
-    ``x`` is only read.
-    """
-    s = 2.0 / bottom
-    prev, cur = x, ax
-    cur *= s
-    cur -= x
-    for _ in range(degree - 1):
-        nxt = np.empty_like(cur) if prev is x else prev
-        for i, row in enumerate(cur):
-            nxt[i] = 2.0 * (s * _backward(g, _forward(g, row)) - row) - prev[i]
-        prev, cur = cur, nxt
-    return cur
-
-
-def _filter_degree(top: float, bottom: float) -> int:
-    """Largest degree m <= _FILTER_DEGREE with T_m(2 top / bottom - 1) <= _FILTER_MAX_GAIN.
-
-    The gain is how far the filter lifts the top Ritz value over the damped
-    interval. Beyond the cap the lower rows drown in the leading direction
-    before they are re-orthonormalized; a spectrum that wide gets degree 1,
-    the plain sweep.
-    """
-    if not bottom * _FILTER_MAX_GAIN > top:
-        return 1
-    x = 2.0 * top / bottom - 1.0
-    t_prev, t, degree = 1.0, x, 1
-    while degree < _FILTER_DEGREE:
-        t_prev, t = t, 2.0 * x * t - t_prev
-        if t > _FILTER_MAX_GAIN:
-            break
-        degree += 1
-    return degree
-
-
 def _tie_tol(theta: np.ndarray) -> float:
     """Gap between Ritz values at or below which they count as tied."""
     return _DEGENERATE_GAP * max(theta[0], 1e-300)
@@ -497,9 +476,10 @@ def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
     between successive leading-k subspaces must drop below ``angle_tol``
     with the gap theta_k - theta_{k+1} resolved: it exceeds the tie
     tolerance plus the residual norm r of the (k+1)-th Ritz pair, or r is
-    below ``angle_tol * theta_1``. The filter barely lifts rows near
-    theta_b, so without the residual test theta_{k+1} could still sit below
-    an eigenvalue tied with theta_k and the tie would go unflagged. On a
+    below ``angle_tol * theta_1``. A one-row Krylov start settles the
+    leading k rows before the block's normal rows reach the next
+    eigenvector, so without the residual test theta_{k+1} could still sit
+    below an eigenvalue tied with theta_k and the tie would go unflagged. On a
     tied boundary the gap check flags the tie, and the stall rule passes it
     once the leading-k subspace, or the span of the rows down to the last
     one tied with theta_k, moves by less than max(``angle_tol``, 1e-8).
@@ -539,40 +519,35 @@ def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
 
 
 def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower: tuple = ()):
-    """Leading Ritz pairs of A^T A by Chebyshev-filtered block subspace iteration.
+    """Leading Ritz pairs of A^T A by block subspace iteration from a Krylov start.
 
     The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
     array, so every matvec reads a contiguous row. It starts from the k
-    leading Ritz rows of an uncounted Krylov start (``_krylov_start``) and
-    b - k normal rows. A Krylov space holds one direction of a tied
-    eigenspace, and the gap test would pass before the normal rows found
-    the others, so a second start from an independent draw must agree
-    within sqrt(``angle_tol``): on a tie at or above theta_k the two
-    leading-k subspaces part at a random angle. Otherwise, or when a start
-    is skipped or gives up, the block starts cold from b normal rows; all
-    draws come from a fixed internal seed. Only the block solver judges
-    convergence and ties. Each sweep multiplies the block by A^T A once and
-    takes the Ritz pairs. The next block is the Ritz rows passed through a
-    Chebyshev filter of degree m <= 4 (``_chebyshev_rows``) that damps
-    [0, theta_b], theta_b the smallest Ritz value; its first term is the
-    product already taken, so a sweep costs m block products. The filtered
-    rows are normalized and re-orthonormalized by Cholesky-QR2, falling
-    back to Householder QR on a rank-deficient block
-    (``_orthonormal_rows``); the next Rayleigh-Ritz step does not depend on
-    which basis of the filtered span it gets.
+    leading Ritz rows of an uncounted one-row Krylov start
+    (``_krylov_start``) and b - k normal rows. A one-row Krylov space holds
+    one direction of a tied eigenspace, and the gap test would pass before
+    the normal rows found the others, so a second start from an independent
+    draw must agree within sqrt(``angle_tol``): on a tie at or above
+    theta_k the two leading-k subspaces part at a random angle. When they
+    part, or a start breaks down or stops at its cap, the b leading rows of
+    one block Krylov start with blocks of b rows start the block instead;
+    it holds b directions of every eigenspace, as the block does, so ties
+    stay in view. A graph too small for that basis starts from the leading
+    eigenvectors of its dense n x n A^T A. All draws come from a fixed
+    internal seed, and only the block solver judges convergence and ties.
+
+    Every sweep is plain: it multiplies the block by A^T A once, one product
+    per row, takes the Ritz pairs, and the next block is ``orth(A^T A q)``
+    by Cholesky-QR2, falling back to Householder QR on a rank-deficient
+    block (``_orthonormal_rows``). So every block after the first lies in
+    the range of A^T A, nodes with identical in-neighbour columns keep
+    bitwise-equal entries, and the stall rule sees plain sweeps.
 
     The subspace sizes in ``lower`` (each below k) are read from the same
     solve, so iteration stops only when the stop test (``_boundary``)
-    passes at k and at each of them. The sweep is plain (m = 1, the next
-    block is ``orth(A^T A q)``) on sweep 1, so that every later block lies
-    in the range of A^T A and nodes with identical in-neighbour columns
-    keep bitwise-equal entries; while a boundary is tied, where the stall
-    rule must see plain sweeps; after a sweep whose leading subspace at a
-    boundary settled with the gap there still unresolved; and where the
-    spectrum is too wide for the gain cap (``_filter_degree``). Returns
-    (theta, U, sweeps, converged, angle, tied): eigenvalues descending, the
-    Ritz vectors as rows of U, and the last angle (inf after one sweep) and
-    tie verdict at k.
+    passes at k and at each of them. Returns (theta, U, sweeps, converged,
+    angle, tied): eigenvalues descending, the Ritz vectors as rows of U,
+    and the last angle (inf after one sweep) and tie verdict at k.
     """
     n = g.n
     b = min(k + 2, n)
@@ -584,12 +559,14 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
         if second is None or _sin_largest_angle(start, second) > np.sqrt(angle_tol):
             start = None
         del second
-    if start is None:  # cold, from a fresh draw of the same seed
-        rng = np.random.Generator(np.random.PCG64(0x5A11E57))
-        q = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, b)))[0].T)
-    else:
-        q = _orthonormal_rows(np.vstack((start, rng.standard_normal((b - k, n)))))
-        del start
+    if start is None:
+        start = _krylov_start(g, k, angle_tol, rng, b)
+    if start is None:  # too small for the block's basis: the dense eigenvectors
+        a = np.zeros((n, n))
+        np.add.at(a, (g.src, g.dst), 1.0)
+        start = np.linalg.eigh(a.T @ a)[1][:, : -b - 1 : -1].T
+    q = _orthonormal_rows(np.vstack((start, rng.standard_normal((b - len(start), n)))))
+    del start
     theta = np.zeros(b)
     ritz = q
     prev = None
@@ -607,26 +584,14 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
         theta = np.maximum(w[desc], 0.0)
         rot = vecs[:, desc].T
         ritz = rot @ q
-        del q  # the next block comes from z and the Ritz rows alone
+        del q  # the next block comes from z alone
         checks = [_boundary(j, theta, rot, z, ritz, prev, angle_tol) for j in bounds]
         angle, tied, _ = checks[-1]
         if all(settled for _, _, settled in checks):
             converged = True
             break
         prev = ritz
-        if it == 1 or any(t or (a < angle_tol and not s) for a, t, s in checks):
-            degree = 1
-        else:
-            degree = _filter_degree(float(theta[0]), float(theta[-1]))
-        if degree == 1:
-            q = _orthonormal_rows(z)
-        else:
-            az = rot @ z
-            del z  # with q gone too, the filter holds no more blocks than a plain sweep
-            f = _chebyshev_rows(g, ritz, az, float(theta[-1]), degree)
-            del az
-            f /= np.sqrt(np.einsum("ij,ij->i", f, f))[:, None]
-            q = _orthonormal_rows(f)
+        q = _orthonormal_rows(z)
     return theta, ritz, it, converged, angle, tied
 
 

@@ -316,6 +316,19 @@ def test_meanfield_single_point(capsys):
     assert row["q_BB"] + row["q_BR"] == pytest.approx(1.0)
 
 
+def test_meanfield_reports_an_undefined_ratio_as_nan(capsys):
+    assert run_cli("meanfield", "--r", "1", "--rho", "0.5") == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))["F"] == "nan"
+
+
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_meanfield_undefined_attachment_is_a_data_error(r, capsys):
+    # at rho = 0 with r in {0, 1} one colour's sources accept no mass
+    assert run_cli("meanfield", "--r", r, "--rho", "0") == 2
+    assert "undefined probability" in capsys.readouterr().err
+
+
 def test_meanfield_grid_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli("meanfield", "--grid", "--out", str(out1)) == 0

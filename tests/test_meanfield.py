@@ -166,6 +166,15 @@ def test_report_bundles_consistent_values():
     assert np.isnan(mean_field_report(0.3, 0.0).f_ratio)
 
 
+def test_report_gives_nan_where_blue_picks_up_no_blue_mass():
+    # at r = 1 every node is red, so q_BB = 0 and mf_ratio raises
+    with pytest.raises(ValueError, match="no blue mass"):
+        mf_ratio(1.0, 0.5)
+    rep = mean_field_report(1.0, 0.5)
+    assert rep.q[B, B] == 0.0
+    assert np.isnan(rep.f_ratio)
+
+
 # -- empirical estimators -----------------------------------------------------------
 
 def test_size_biased_moment_basics():
@@ -275,6 +284,16 @@ def test_checks_at_zero_acceptance_skip_the_ratio():
     checks = verify_propositions(0.3, 0.0)
     assert all(c.passed for c in checks.values())
     assert not any(name.startswith("f_") for name in checks)
+
+
+def test_checks_skip_the_attachment_matrices_where_they_are_undefined():
+    # at r = rho = 0 no red source can accept any mass (attachment_probs
+    # raises), so only the alpha and growth-rate checks remain
+    checks = verify_propositions(0.0, 0.0)
+    assert set(checks) == {"power_inequality", "k_blue_above_half", "k_red_below_half",
+                           "beta_red_above_3", "beta_blue_below_3", "beta_blue_above_2",
+                           "k_relation"}
+    assert all(c.passed for c in checks.values())
 
 
 def test_checks_at_symmetric_arrivals():

@@ -403,26 +403,49 @@ ORDER_SHA256 = {
 
 
 @pytest.mark.parametrize("seed, sweeps, hits_iterations", [
-    (1, 12, 6), (2, 14, 6), (3, 12, 7), (11, 11, 7),
+    (1, 19, 2), (2, 18, 2), (3, 2, 2), (11, 10, 2),
 ])
 def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations, monkeypatch):
     # From the Krylov start the block solver takes 2 sweeps, the fewest its
     # stop test allows (one to take the Ritz pairs, one to measure their
     # angle), for subspace HITS and for HITS alike: a start that stops
     # short of the tolerance shows here. The parametrized counts are those
-    # of the cold solve, the Chebyshev-filtered block iteration alone
-    # (plain subspace iteration took 105/139/61/78 sweeps, and the HITS
-    # power loop 31/69/55/53 iterations): a change that weakens the filter
-    # or lowers its degree shows there. The order digests show any node
-    # that either path moves
+    # of the cold solve, started by the block Krylov run alone. At k = 6
+    # that run stops at its product cap on three of the four graphs
+    # (the Chebyshev-filtered cold block took 12/14/12/11 sweeps and HITS
+    # 6/6/7/7; plain subspace iteration from normal rows took 105/139/61/78
+    # sweeps, and the HITS power loop 31/69/55/53 iterations): a change
+    # that weakens the block start shows there. The order digests show any
+    # node that either path moves
     g = _bpam_1000(seed)
+    krylov = rankers._krylov_start
     for expected_sweeps, expected_hits in ((2, 2), (sweeps, hits_iterations)):
         res = subspace_hits(g, 6)
         assert res.iterations_used == expected_sweeps
         assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[seed]
         auth, hub = hits(g)
         assert auth.iterations_used == hub.iterations_used == expected_hits
-        monkeypatch.setattr(rankers, "_krylov_start", lambda *args: None)
+        monkeypatch.setattr(
+            rankers, "_krylov_start", lambda g, k, tol, rng, s=1: krylov(g, k, tol, rng, s) if s > 1 else None
+        )
+
+
+def test_a_krylov_start_at_its_product_cap_leaves_the_block_start(monkeypatch, solver_calls):
+    # a cap of one sweep's work (b products) stops a Krylov run that has
+    # not settled at its first restart. At k = 6 the one-row start gives up,
+    # and the block start hands its unsettled rows to the sweeps, which must
+    # still converge on the same order and flags. At k = 1 both one-row
+    # starts settle on their first 21 products, before the cap is consulted
+    monkeypatch.setattr(rankers, "_KRYLOV_SWEEPS", 1)
+    g = _bpam_1000(1)
+    res = subspace_hits(g, 6)
+    assert res.converged and not res.degenerate
+    assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[1]
+    auth, hub = hits(g)
+    assert auth.converged and hub.converged
+    assert not auth.degenerate and not hub.degenerate
+    starts = solver_calls["_krylov_start"]
+    assert [None if start is None else len(start) for start in starts] == [None, 8, 1, 1]
 
 
 @pytest.mark.parametrize("seed, pagerank_iterations, rhits_iterations", [
@@ -470,13 +493,15 @@ def test_the_krylov_start_serves_large_k(k, cold_sweeps, solver_calls):
 def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(solver_calls):
     # ten disjoint copies of one in-star (n = 40, above the 21-row basis):
     # A^T A has the eigenvalues 3 (ten-fold) and 0 alone, so the Krylov space
-    # is invariant after one product and the start breaks down. The block
-    # solver then starts cold, converges and flags the tie
+    # is invariant after one product and the one-row start breaks down. The
+    # block start (b = 3 and 5 rows) refills its rows and starts the solve,
+    # which converges and flags the tie
     edges = [(4 * c + leaf, 4 * c + 3) for c in range(10) for leaf in range(3)]
     g = _graph(edges, 40)
     auth, hub = hits(g)
     res = subspace_hits(g, 3)
-    assert solver_calls["_krylov_start"] == [None, None]
+    starts = solver_calls["_krylov_start"]
+    assert [None if start is None else len(start) for start in starts] == [None, 3, None, 5]
     assert auth.converged and auth.degenerate and hub.degenerate
     assert res.converged and res.degenerate
 
@@ -490,10 +515,11 @@ def test_a_tie_that_each_krylov_start_sees_once_leaves_a_cold_solve(solver_calls
     # two disjoint copies of one graph (n = 2000): every eigenvalue of A^T A
     # is doubled, and there are hundreds of distinct ones, so neither start
     # breaks down. At k = 1 and k = 3 a doubled eigenvalue straddles the
-    # boundary, and each start holds its own random direction of it: the two
-    # leading subspaces part, the block runs cold and flags the tie. At k = 2
-    # and k = 6 the boundary falls between pairs, and the scores are those of
-    # one copy's dense eigenspace, on both copies
+    # boundary, and each one-row start holds its own random direction of it:
+    # the two leading subspaces part, a block start of k + 2 rows starts the
+    # solve, which flags the tie. At k = 2 and k = 6 the boundary falls
+    # between pairs, and the scores are those of one copy's dense
+    # eigenspace, on both copies
     one = _bpam_1000(2)
     g = _two_copies(one)
     edges = list(zip(one.src.tolist(), one.dst.tolist()))
@@ -508,8 +534,10 @@ def test_a_tie_that_each_krylov_start_sees_once_leaves_a_cold_solve(solver_calls
             expected = oracles.dense_subspace_scores(edges, one.n, k // 2, "unit")
             assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-11
     starts = solver_calls["_krylov_start"]
-    assert len(starts) == 10 and all(start is not None for start in starts)
-    parted = [rankers._sin_largest_angle(a, b) > 1e-5 for a, b in zip(starts[::2], starts[1::2])]
+    assert len(starts) == 13 and all(start is not None for start in starts)
+    assert [len(start) for start in starts] == [1, 1, 3, 1, 1, 3, 2, 2, 3, 3, 5, 6, 6]
+    pairs = [starts[i : i + 2] for i in (0, 3, 6, 8, 11)]  # the one-row runs
+    parted = [rankers._sin_largest_angle(a, b) > 1e-5 for a, b in pairs]
     assert parted == [True, True, False, True, False]  # hits, then k = 1, 2, 3, 6
 
 
@@ -815,6 +843,17 @@ def test_a_jump_in_the_residual_clears_the_anderson_history():
     mixed = [not np.array_equal(point, out) for (_, out), (point, _) in zip(calls, calls[1:])]
     assert mixed[:8] == [False, True, True, True, True, False, True, True]
     assert converged and np.linalg.norm(x - exact) < ctrl.tol / (1 - 0.95)
+
+
+def test_a_singular_anderson_solve_clears_the_history():
+    # a constant step makes every residual difference zero, so the Gram
+    # system of the mixing step is singular at every evaluation: the loop
+    # must clear its history and go on with the plain step, not raise
+    x, it, converged, residual = _fixed_point(
+        lambda x: x + 1.0, np.zeros(3), 0, IterationControl(max_iter=5)
+    )
+    assert (it, converged, residual) == (5, False, 3.0)
+    assert np.array_equal(x, np.full(3, 5.0))
 
 
 def test_iteration_control_validation():
