@@ -529,12 +529,12 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     the normal rows found the others, so a second start from an independent
     draw must agree within sqrt(``angle_tol``): on a tie at or above
     theta_k the two leading-k subspaces part at a random angle. When they
-    part, or a start breaks down or stops at its cap, the b leading rows of
-    one block Krylov start with blocks of b rows start the block instead;
-    it holds b directions of every eigenspace, as the block does, so ties
-    stay in view. A graph too small for that basis starts from the leading
-    eigenvectors of its dense n x n A^T A. All draws come from a fixed
-    internal seed, and only the block solver judges convergence and ties.
+    part, or a start breaks down or stops at its cap, a Krylov start with
+    blocks of b rows gives all b rows instead; it holds b directions of
+    every eigenspace, as the block does, so ties stay in view. A graph too
+    small for that basis starts from the leading eigenvectors of its dense
+    n x n A^T A. All draws come from a fixed internal seed, and only the
+    block solver judges convergence and ties.
 
     Every sweep is plain: it multiplies the block by A^T A once, one product
     per row, takes the Ritz pairs, and the next block is ``orth(A^T A q)``
