@@ -7,6 +7,13 @@ that runs to the end of the line; a ``#`` inside a label is kept. Node
 labels may be arbitrary strings; they are remapped to dense ids in
 color-file order and the mapping can be written back out.
 
+Each input file is read forward once, in chunks of whole lines, so it may
+be a pipe; a UTF-8 byte-order mark at its start is dropped. A chunk whose
+every line is two plain ASCII labels and one tab is split and mapped in
+bulk. Every other chunk, and a plain one that holds a fault, goes through
+the line parser, the one place that skips comments and blank lines and
+raises parse errors, so both paths give the same records and errors.
+
 Every text file the package writes goes through :func:`write_text`, and
 every table in it through :func:`table`: fields are ``"{}"``-formatted
 Python values, so a float is written as its shortest round-trip repr, and
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -37,6 +45,17 @@ __all__ = [
 # endpoint arrays is ever held as Python ints
 _SLICE = 1 << 16
 
+# characters read at a time by _chunks; one chunk's fields are the only
+# per-record strings alive at once
+_CHUNK = 1 << 16
+
+# the bytes a label may hold in a chunk that skips the line parser:
+# printable ASCII other than space and "#"
+_LABEL_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord("#"))
+
+# the color tokens Color.parse takes that such a chunk can hold
+_COLOR_TOKENS = {token: c for c in Color for token in (c.name, c.name.lower())}
+
 
 def _drop_comment(line: str) -> str:
     """Cut a line at the first tab-separated field that starts with ``#``."""
@@ -47,32 +66,89 @@ def _drop_comment(line: str) -> str:
     return line
 
 
-def _records(path, form: str) -> Iterator[tuple[int, str, str]]:
-    """Yield ``(lineno, left, right)`` per record, skipping blanks and comments;
-    ``form`` names the two fields in the error for a line without them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if "#" in line:
-                line = _drop_comment(line)
-            body = line.strip()
-            if not body:
+def _chunks(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, text)``: the file in pieces of whole lines, about
+    ``_CHUNK`` characters each, with the number of each piece's first line.
+    The file is read forward once, so it may be a pipe. A UTF-8 byte-order
+    mark at its start is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lineno, carry = 1, ""
+        while block := fh.read(_CHUNK):
+            cut = block.rfind("\n") + 1
+            if not cut:  # no line ends in this block
+                carry += block
                 continue
-            fields = body.split("\t")
-            if len(fields) != 2:
-                raise GraphError(f"{path}:{lineno}: expected '{form}'")
-            yield lineno, fields[0].strip(), fields[1].strip()
+            text, carry = carry + block[:cut], block[cut:]
+            yield lineno, text
+            lineno += text.count("\n")
+        if carry:
+            yield lineno, carry
+
+
+def _plain_fields(text: str) -> Optional[list[str]]:
+    """``text.split()`` if that is exactly the fields the line parser
+    yields, in the same order, else None.
+
+    That holds when every line is ``label<TAB>label``, both labels non-empty
+    printable ASCII without space or ``#``: deleting the label bytes then
+    leaves tab and newline alternating, starting with a tab, and the fields
+    number two per tab. A blank line, a comment or any other byte sends the
+    chunk to the line parser."""
+    if not text.isascii():
+        return None
+    seps = text.encode("ascii").translate(None, _LABEL_BYTES)
+    lines, unterminated = divmod(len(seps), 2)
+    if seps != b"\t\n" * lines + b"\t" * unterminated:
+        return None
+    fields = text.split()
+    return fields if len(fields) == 2 * (lines + unterminated) else None
+
+
+def _records(path, form: str, lineno: int, text: str) -> Iterator[tuple[int, str, str]]:
+    """The line parser: yield ``(lineno, left, right)`` per record of
+    ``text``, whose first line is line ``lineno`` of ``path``, skipping
+    blanks and comments; ``form`` names the two fields in the error for a
+    line without them."""
+    for lineno, line in enumerate(text.split("\n"), start=lineno):
+        if "#" in line:
+            line = _drop_comment(line)
+        body = line.strip()
+        if not body:
+            continue
+        fields = body.split("\t")
+        if len(fields) != 2:
+            raise GraphError(f"{path}:{lineno}: expected '{form}'")
+        yield lineno, fields[0].strip(), fields[1].strip()
+
+
+def _add_plain_colors(colors: dict[str, Color], fields: list[str]) -> bool:
+    """Add a plain chunk's ``node, color`` fields to ``colors``. Return
+    False, leaving ``colors`` as it was, on an unknown color or a node seen
+    before, for the line parser to find and report."""
+    try:
+        chunk = dict(zip(fields[::2], map(_COLOR_TOKENS.__getitem__, fields[1::2])))
+    except KeyError:
+        return False
+    if 2 * len(chunk) < len(fields) or not chunk.keys().isdisjoint(colors.keys()):
+        return False
+    colors.update(chunk)
+    return True
 
 
 def read_color_file(path) -> dict[str, Color]:
     """Parse ``node<TAB>color`` lines; duplicate nodes are an error."""
     colors: dict[str, Color] = {}
-    for lineno, label, color in _records(path, "node<TAB>color"):
-        if label in colors:
-            raise GraphError(f"{path}:{lineno}: duplicate color for node {label!r}")
-        try:
-            colors[label] = Color.parse(color)
-        except GraphError as exc:
-            raise GraphError(f"{path}:{lineno}: {exc}") from None
+    for first, text in _chunks(path):
+        fields = _plain_fields(text)
+        if fields and _add_plain_colors(colors, fields):
+            continue
+        for lineno, label, color in _records(path, "node<TAB>color", first, text):
+            if label in colors:
+                raise GraphError(f"{path}:{lineno}: duplicate color for node {label!r}")
+            try:
+                colors[label] = Color.parse(color)
+            except GraphError as exc:
+                raise GraphError(f"{path}:{lineno}: {exc}") from None
     return colors
 
 
@@ -89,12 +165,20 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     index = {label: i for i, label in enumerate(color_map)}
 
     ids = []  # flat src, dst ids, mapped while the file is read
-    for lineno, src, dst in _records(edge_path, "src<TAB>dst"):
-        try:
-            ids += index[src], index[dst]
-        except KeyError as exc:
-            raise GraphError(f"{edge_path}:{lineno}: node {exc.args[0]!r} has no "
-                             f"entry in {os.fspath(color_path)}") from None
+    for first, text in _chunks(edge_path):
+        fields = _plain_fields(text)
+        if fields:
+            try:
+                ids += itemgetter(*fields)(index)
+                continue
+            except KeyError:
+                pass  # the line parser names the line
+        for lineno, src, dst in _records(edge_path, "src<TAB>dst", first, text):
+            try:
+                ids += index[src], index[dst]
+            except KeyError as exc:
+                raise GraphError(f"{edge_path}:{lineno}: node {exc.args[0]!r} has no "
+                                 f"entry in {os.fspath(color_path)}") from None
     if not ids:
         raise GraphError(f"{edge_path}: no edge records")
     edges = np.array(ids, dtype=np.int64).reshape(-1, 2)

@@ -6,7 +6,7 @@ variant that aggregates several leading eigenvectors. Every ranker returns
 scores together with a deterministic total order.
 
 All iterations are expressed as matrix-vector products against the edge
-arrays (``np.bincount`` with weights), which keeps parallel-edge
+arrays (a gather and an ``np.add.at`` scatter), which keeps parallel-edge
 multiplicity and costs O(|E|) per step without forming a matrix.
 """
 
@@ -168,14 +168,22 @@ def rank_order(scores, tie_shuffle_seed: Optional[int] = None) -> np.ndarray:
     return np.lexsort((tiebreak, -scores))
 
 
+# np.add.at sums in edge-list order, as np.bincount does, and reads the
+# graph's read-only index arrays in place, where bincount copies them
+
+
 def _forward(g: ColoredDigraph, x: np.ndarray) -> np.ndarray:
     """y[u] = sum over edges (u, v) of x[v]   (adjacency times x)."""
-    return np.bincount(g.src, weights=x[g.dst], minlength=g.n)
+    y = np.zeros(g.n)
+    np.add.at(y, g.src, x[g.dst])
+    return y
 
 
 def _backward(g: ColoredDigraph, x: np.ndarray) -> np.ndarray:
     """y[v] = sum over edges (u, v) of x[u]   (adjacency transpose times x)."""
-    return np.bincount(g.dst, weights=x[g.src], minlength=g.n)
+    y = np.zeros(g.n)
+    np.add.at(y, g.dst, x[g.src])
+    return y
 
 
 def degree_rank(g: ColoredDigraph, which: str = "total") -> RankingResult:

@@ -157,3 +157,128 @@ def test_load_graph_empty_inputs(tmp_path):
     (tmp_path / "c0.tsv").write_text("\n")
     with pytest.raises(GraphError, match="no color records"):
         load_graph(tmp_path / "e.tsv", tmp_path / "c0.tsv")
+
+
+def test_a_byte_order_mark_is_not_part_of_a_label(tmp_path):
+    (tmp_path / "e.tsv").write_text("0\t1\n1\t0\n", encoding="utf-8")
+    (tmp_path / "c.tsv").write_text("0\tR\n1\tB\n", encoding="utf-8-sig")
+    g, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert labels == ["0", "1"] and g.src.tolist() == [0, 1]
+    (tmp_path / "e.tsv").write_text("0\t1\n1\t0\n", encoding="utf-8-sig")
+    _, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert labels == ["0", "1"]
+
+
+# -- the bulk path and the line parser ----------------------------------------
+
+# plain lines around each input, so its odd lines fall in later chunks
+_PLAIN_EDGES = "".join(f"{i}\t{(7 * i) % 40}\n" for i in range(40))
+_PLAIN_COLORS = "".join(f"{i}\t{'RB'[i % 3 == 0]}\n" for i in range(40))
+_LONG = "x" * 300
+
+# (id, edge lines, color lines) put between the plain edge and color lines
+PARSE_CASES = [
+    ("comments", "# note\n3\ta#b\t# tail\n  # indented\na#b\t4 # no\n", "a#b\tR\n4 # no\tb\n#\n"),
+    ("blank_lines_and_stray_tabs", "\n\t\n\t3\t5\n5\t3\t\n \t\n3\t 5\n\n", "\n\t\n"),
+    ("double_tab", "3\t\t5\n", ""),
+    ("tab_then_line", "3\t\n5\n", ""),
+    ("three_fields", "3\t5\t6\n", ""),
+    ("three_fields_then_one", "3\t5\t6\n7\n", ""),
+    ("spaced_and_non_ascii_labels", "a b\tc d\né\t3\n", "a b\tB\nc d\tR\né\tR\n"),
+    ("long_line", f"{_LONG}\t3\n3\t{_LONG}\n", f"{_LONG}\tR\n"),
+    ("missing_label", "3\tz\n", ""),
+    ("missing_then_bad_line", "3\tz\n3 5\n", ""),
+    ("duplicate_color", "", "7\tB\n"),
+    ("bad_color", "", "x\tpurple\n"),
+    ("duplicate_in_one_chunk", "", "x\tR\nx\tR\n"),
+    ("lower_case_and_spaced_colors", "x\ty\n", "x\tr\ny\t b \n"),
+]
+
+
+def _write_case(tmp_path, edges, colors, newline="\n", final_newline=True):
+    texts = []
+    for name, text in (("e.tsv", _PLAIN_EDGES + edges + _PLAIN_EDGES),
+                       ("c.tsv", _PLAIN_COLORS + colors)):
+        if not final_newline:
+            text = text.rstrip("\n")
+        (tmp_path / name).write_bytes(text.replace("\n", newline).encode())
+        texts.append(tmp_path / name)
+    return texts
+
+
+def _outcome(edge_path, color_path):
+    """What loading gives: the graph's arrays and labels, or the error text."""
+    try:
+        g, labels = load_graph(edge_path, color_path)
+    except GraphError as exc:
+        return str(exc)
+    return g.src.tolist(), g.dst.tolist(), g.colors.tolist(), labels
+
+
+def _by_lines(monkeypatch, *paths):
+    """The outcome with each file read whole and sent to the line parser."""
+    with monkeypatch.context() as m:
+        m.setattr(fairank.io, "_chunks",
+                  lambda path: [(1, open(path, encoding="utf-8-sig").read())])
+        m.setattr(fairank.io, "_plain_fields", lambda text: None)
+        return _outcome(*paths)
+
+
+@pytest.mark.parametrize("newline, final_newline", [("\n", True), ("\r\n", True), ("\n", False)],
+                         ids=["lf", "crlf", "no_final_newline"])
+@pytest.mark.parametrize("edges, colors", [case[1:] for case in PARSE_CASES],
+                         ids=[case[0] for case in PARSE_CASES])
+def test_chunked_load_matches_the_line_parser(tmp_path, monkeypatch, edges, colors,
+                                              newline, final_newline):
+    paths = _write_case(tmp_path, edges, colors, newline, final_newline)
+    expected = _by_lines(monkeypatch, *paths)
+    for chunk in (1, 7, 64, 1 << 16):
+        monkeypatch.setattr(fairank.io, "_CHUNK", chunk)
+        assert _outcome(*paths) == expected, chunk
+
+
+def test_plain_chunks_skip_the_line_parser(tmp_path, monkeypatch):
+    # every chunk of a written file takes the bulk path; a chunk with a
+    # missing label goes back to the line parser, which names the line
+    g, _ = generate(BpamParams(300, 3, 0.3, 0.5), seed=2)
+    write_edge_list(tmp_path / "e.tsv", g)
+    write_color_file(tmp_path / "c.tsv", g)
+    parsed = []
+    records = fairank.io._records
+    monkeypatch.setattr(fairank.io, "_records",
+                        lambda path, form, lineno, text: parsed.append(lineno) or
+                        records(path, form, lineno, text))
+    monkeypatch.setattr(fairank.io, "_CHUNK", 256)
+    loaded, _ = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert parsed == []
+    assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
+    assert np.array_equal(loaded.colors, g.colors)
+
+    with open(tmp_path / "e.tsv", "a") as fh:
+        fh.write("0\tz\n")
+    with pytest.raises(GraphError, match=rf"e\.tsv:{g.n_edges + 1}: node 'z' has no entry"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert len(parsed) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("edges, colors", [("3\t5\n", ""), ("3\tz\n", ""), ("", "7\tR\n")],
+                         ids=["loads", "missing_label", "duplicate_color"])
+def test_chunked_load_from_pipes_matches_the_files(tmp_path, monkeypatch, edges, colors):
+    paths = _write_case(tmp_path, edges, colors)
+    expected = _by_lines(monkeypatch, *paths)
+    monkeypatch.setattr(fairank.io, "_CHUNK", 64)
+    pipes = [os.pipe() for _ in paths]
+    try:
+        for path, (_, write_end) in zip(paths, pipes):
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+        fd_paths = [f"/dev/fd/{read_end}" for read_end, _ in pipes]
+        outcome = _outcome(*fd_paths)
+    finally:
+        for read_end, _ in pipes:
+            os.close(read_end)
+    if isinstance(expected, str):
+        for path, fd_path in zip(paths, fd_paths):
+            expected = expected.replace(str(path), fd_path)
+    assert outcome == expected

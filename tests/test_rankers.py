@@ -1,6 +1,7 @@
 """Ranking algorithm tests against dense linear-algebra oracles."""
 
 import hashlib
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -41,6 +42,38 @@ def _random_graph(rng, **kwargs):
 
 def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+# -- matvecs ------------------------------------------------------------------
+
+def test_matvecs_sum_parallel_edges_in_edge_list_order():
+    # bit for bit the sums of a weighted bincount over the edge list, which
+    # adds each node's terms in edge-list order too
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(1, 200)), 2))
+        g = _graph(edges, n)
+        x = rng.standard_normal(n)
+        assert np.array_equal(rankers._forward(g, x),
+                              np.bincount(edges[:, 0], weights=x[edges[:, 1]], minlength=n))
+        assert np.array_equal(rankers._backward(g, x),
+                              np.bincount(edges[:, 1], weights=x[edges[:, 0]], minlength=n))
+
+
+def test_matvec_copies_no_edge_index():
+    # the gather and the output cost ~8 bytes per edge; a copy of the
+    # graph's int64 index array, as np.bincount takes of a read-only one,
+    # would add 8 more
+    g, _ = generate(BpamParams(10_000, 6, 0.3, 0.1), seed=3)
+    x = np.ones(g.n)
+    tracemalloc.start()
+    try:
+        rankers._backward(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n_edges <= 12
 
 
 # -- rank_order ---------------------------------------------------------------
@@ -582,9 +615,11 @@ STRESS = IterationControl(1e-10, 20000)
 
 @pytest.mark.parametrize("k, weight, parent_sweeps", [(2, "unit", 26), (4, "lambda_sq", 119)])
 def test_subspace_converges_on_a_wide_spectrum(k, weight, parent_sweeps):
-    # a 10000-fold edge makes the top eigenvalue 1e8 times the rest, far
-    # beyond the filter's gain cap: the solver must still converge, and in
-    # no more sweeps than plain subspace iteration took
+    # a 10000-fold edge makes the top eigenvalue 1e8 times the rest: the
+    # solver must still converge, and in no more sweeps than plain subspace
+    # iteration took. At n = 7 the solve starts from the dense eigenvectors
+    # of A^T A, since n <= max(20, 2k + 8) + b leaves no room for a Krylov
+    # basis
     edges = [(0, 1)] * 10000 + [(2, 3), (3, 2), (4, 5), (5, 6), (6, 4), (2, 5)]
     w, _, _ = oracles.dense_authority_eig(edges, 7)
     assert w[0] / w[1] > 1e7
@@ -611,14 +646,14 @@ HIDDEN_TIE_EDGES = [(0, 1)] * 12 + [
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
-def test_subspace_flags_a_tie_the_filter_hides_below_the_boundary(k):
-    # the 4-fold 2 spans the boundary at k = 3, 4 and 5. At k = 3, 4 filtered
-    # sweeps settle the leading k rows while the (k+1)-th Ritz value still
-    # sits ~1e-3 below 2, so only the residual test at convergence keeps the
-    # tie from going unflagged. At k = 5 the filter makes the cluster inside
-    # the block exact, eigh then rotates freely within it, and only the
-    # settling span down to the cluster's last row ends the iteration.
-    # Plain subspace iteration ran out of sweeps at k = 3, 4 and took 13 at 5
+def test_subspace_flags_a_tie_that_spans_the_boundary(k):
+    # the 4-fold 2 spans the boundary at k = 3, 4 and 5. At n = 18 the solve
+    # starts from the dense eigenvectors of A^T A, since n <= max(20, 2k + 8)
+    # + b leaves no room for a Krylov basis, so the block's rows inside the
+    # cluster are exact from the first sweep and eigh may rotate them
+    # freely: the tie must be flagged all the same. The sweep bounds date
+    # from an earlier solver; plain subspace iteration ran out of sweeps at
+    # k = 3, 4 and took 13 at 5
     w, _, _ = oracles.dense_authority_eig(HIDDEN_TIE_EDGES, 18)
     assert np.allclose(w[2:6], 2.0) and w[6] < 1.5
     res = subspace_hits(_graph(HIDDEN_TIE_EDGES, 18), k)
