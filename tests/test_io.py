@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,14 +197,14 @@ PARSE_CASES = [
 
 
 def _write_case(tmp_path, edges, colors, newline="\n", final_newline=True):
-    texts = []
+    paths = []
     for name, text in (("e.tsv", _PLAIN_EDGES + edges + _PLAIN_EDGES),
                        ("c.tsv", _PLAIN_COLORS + colors)):
         if not final_newline:
             text = text.rstrip("\n")
         (tmp_path / name).write_bytes(text.replace("\n", newline).encode())
-        texts.append(tmp_path / name)
-    return texts
+        paths.append(tmp_path / name)
+    return paths
 
 
 def _outcome(edge_path, color_path):
@@ -219,7 +220,7 @@ def _by_lines(monkeypatch, *paths):
     """The outcome with each file read whole and sent to the line parser."""
     with monkeypatch.context() as m:
         m.setattr(fairank.io, "_chunks",
-                  lambda path: [(1, open(path, encoding="utf-8-sig").read())])
+                  lambda path: [(1, Path(path).read_text(encoding="utf-8-sig"))])
         m.setattr(fairank.io, "_plain_fields", lambda text: None)
         return _outcome(*paths)
 
@@ -245,9 +246,12 @@ def test_plain_chunks_skip_the_line_parser(tmp_path, monkeypatch):
     write_color_file(tmp_path / "c.tsv", g)
     parsed = []
     records = fairank.io._records
-    monkeypatch.setattr(fairank.io, "_records",
-                        lambda path, form, lineno, text: parsed.append(lineno) or
-                        records(path, form, lineno, text))
+
+    def spy(path, form, lineno, text):
+        parsed.append(lineno)
+        return records(path, form, lineno, text)
+
+    monkeypatch.setattr(fairank.io, "_records", spy)
     monkeypatch.setattr(fairank.io, "_CHUNK", 256)
     loaded, _ = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
     assert parsed == []
