@@ -49,6 +49,10 @@ _STALL_ANGLE_TOL = 1e-8
 # up, and a block start hands its rows to the sweeps
 _KRYLOV_SWEEPS = 20
 
+# a Krylov start that only has to agree with an earlier one compares their
+# leading Ritz rows after every this many products with A^T A
+_AGREE_EVERY = 4
+
 # how many past steps the Anderson mixing of _fixed_point draws on
 _ANDERSON_DEPTH = 4
 
@@ -63,7 +67,8 @@ class IterationControl:
     the Ritz solver of HITS and subspace HITS one iteration is one block
     sweep, one product with A^T A per row of the block, and ``tol`` bounds
     the sine of the largest angle between successive leading subspaces; the
-    sweeps follow an uncounted Krylov start (see ``_krylov_start`` and
+    sweeps follow an uncounted Krylov start of two one-row runs, the second
+    stopped once it agrees with the first (see ``_krylov_start`` and
     ``_ritz_topk``). ``max_iter`` caps the iterations.
     """
 
@@ -362,7 +367,9 @@ def randomized_hits(
     return auth, hub
 
 
-def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng, s: int = 1) -> Optional[np.ndarray]:
+def _krylov_start(
+    g: ColoredDigraph, k: int, tol: float, rng, s: int = 1, agree: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
     """Leading Ritz rows of A^T A from a Krylov–Schur run with blocks of s rows, or None.
 
     Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + s rows,
@@ -383,6 +390,14 @@ def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng, s: int = 1) -> Opt
     one direction of a tied eigenspace. A block run instead refills the
     row with a normal draw projected off the basis, and at the product cap
     returns its rows unsettled.
+
+    A one-row run given the k leading rows ``agree`` of an earlier one
+    keeps their overlaps with its basis, ``agree @ basis[j]``, one small
+    product per step, rotated with the basis at a restart. After every
+    _AGREE_EVERY products it returns its leading k Ritz rows, settled or
+    not, once they lie within sqrt(``tol``) / 2 of ``agree``
+    (``_agreeing_rows``). A run that never agrees stops as it would without
+    ``agree``, on the same rows.
     """
     m, p = max(20, 2 * k + 8), k + 4
     if g.n <= m + s:
@@ -395,6 +410,9 @@ def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng, s: int = 1) -> Opt
         _unit(basis[0])
     else:
         basis[:s] = _orthonormal_rows(basis[:s])
+    if agree is not None:
+        overlap = np.empty((k, m + 1))
+        overlap[:, 0] = agree @ basis[0]
     first, products, scale = 0, s, 0.0
     while True:
         for j in range(first, m):
@@ -413,6 +431,13 @@ def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng, s: int = 1) -> Opt
                 _unit(w)
                 beta = 0.0
             t[j + s, j] = beta
+            if agree is not None:
+                overlap[:, j + 1] = agree @ w
+                if j >= k - 1 and (products + j + 1 - first) % _AGREE_EVERY == 0:
+                    rows = _agreeing_rows(t[: j + 1, : j + 1], overlap[:, : j + 1],
+                                          basis[: j + 1], agree, tol)
+                    if rows is not None:
+                        return rows
         products += m - first
         theta, y = np.linalg.eigh(t[:m, :m])
         theta, y = theta[::-1], y[:, ::-1]
@@ -421,8 +446,28 @@ def _krylov_start(g: ColoredDigraph, k: int, tol: float, rng, s: int = 1) -> Opt
             return y[:, : max(k, s)].T @ basis[:m] if settled or s > 1 else None
         basis[:p] = y[:, :p].T @ basis[:m]
         basis[p : p + s] = basis[m:]
+        if agree is not None:
+            overlap[:, :p] = overlap[:, :m] @ y[:, :p]
+            overlap[:, p] = overlap[:, m]
         t = np.diag(np.pad(theta[:p], (0, m + s - p)))
         first = p
+
+
+def _agreeing_rows(t, overlap, basis, agree, tol) -> Optional[np.ndarray]:
+    """The leading Ritz rows of ``t``, the projection of A^T A onto the
+    orthonormal ``basis``, if they lie within sqrt(``tol``) / 2 of the
+    orthonormal rows ``agree``, else None; ``overlap`` is ``agree @ basis.T``.
+
+    The cosines of the principal angles are the singular values of the
+    small ``overlap @ y``. Their sine, sqrt(1 - cos^2), cancels near
+    rounding, so an angle that passes is measured again on the rows."""
+    k = len(agree)
+    y = np.linalg.eigh(t)[1][:, : -k - 1 : -1]
+    cos = np.linalg.svd(overlap @ y, compute_uv=False)
+    if 1.0 - cos[-1] ** 2 >= 0.25 * tol:
+        return None
+    rows = y.T @ basis
+    return rows if _sin_largest_angle(rows, agree) ** 2 < 0.25 * tol else None
 
 
 def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -536,8 +581,11 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     one direction of a tied eigenspace, and the gap test would pass before
     the normal rows found the others, so a second start from an independent
     draw must agree within sqrt(``angle_tol``): on a tie at or above
-    theta_k the two leading-k subspaces part at a random angle. When they
-    part, or a start breaks down or stops at its cap, a Krylov start with
+    theta_k the two leading-k subspaces part at a random angle. Only that
+    verdict is kept, so the second start stops as soon as its leading rows
+    come within half that angle of the first's; one that parts runs to its
+    own stop. A one-row start draws only before its first product, so the
+    early stop moves no later draw. When they part, or a start breaks down or stops at its cap, a Krylov start with
     blocks of b rows gives all b rows instead; it holds b directions of
     every eigenspace, as the block does, so ties stay in view. A graph too
     small for that basis starts from the leading eigenvectors of its dense
@@ -563,7 +611,7 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
     start = _krylov_start(g, k, angle_tol, rng)
     if start is not None:
-        second = _krylov_start(g, k, angle_tol, rng)
+        second = _krylov_start(g, k, angle_tol, rng, 1, start)
         if second is None or _sin_largest_angle(start, second) > np.sqrt(angle_tol):
             start = None
         del second

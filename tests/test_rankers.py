@@ -481,6 +481,71 @@ def test_a_krylov_start_at_its_product_cap_leaves_the_block_start(monkeypatch, s
     assert [None if start is None else len(start) for start in starts] == [None, 8, 1, 1]
 
 
+@pytest.mark.parametrize("seed, first, second", [(1, 41, 28), (2, 51, 32), (3, 41, 24)])
+def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monkeypatch):
+    # products with A^T A (one _forward call each) of one warm solve read at
+    # k = 1 and 6: the first one-row start settles, the second stops as soon
+    # as its leading rows agree with the first's. Run to its own settling the
+    # second took 41/41/31 products. The two block sweeps take 8 products each
+    g = _bpam_1000(seed)
+    products = []
+    forward, krylov = rankers._forward, rankers._krylov_start
+
+    def counted(g, x):
+        products.append(1)
+        return forward(g, x)
+
+    def start(*args):
+        before = len(products)
+        rows = krylov(*args)
+        starts.append(len(products) - before)
+        return rows
+
+    starts = []
+    monkeypatch.setattr(rankers, "_forward", counted)
+    monkeypatch.setattr(rankers, "_krylov_start", start)
+    spectrum = Spectrum(g, (1, 6))
+    assert spectrum.read(g, 6, spectrum.ctrl)[2] == 2
+    assert starts == [first, second]
+    assert len(products) == first + second + 2 * 8
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_krylov_start_that_stops_early_agrees_with_the_first(seed, k, tol):
+    # the rows of an early stop lie within sqrt(tol) / 2 of the first run's,
+    # and those of the same draw run to its own settling within sqrt(tol).
+    # At tol = 1e-15, seed 3 and k = 1 the cosines alone pass an angle with
+    # sine 1.85e-8, above sqrt(tol) / 2, which the rows then reject
+    g = _bpam_1000(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    first = rankers._krylov_start(g, k, tol, rng)
+    draw = rng.bit_generator.state
+    early = rankers._krylov_start(g, k, tol, rng, 1, first)
+    rng.bit_generator.state = draw
+    settled = rankers._krylov_start(g, k, tol, rng)
+    assert early.shape == first.shape == settled.shape == (k, g.n)
+    assert np.max(np.abs(early @ early.T - np.eye(k))) < 1e-12
+    assert rankers._sin_largest_angle(early, first) < np.sqrt(tol) / 2
+    assert rankers._sin_largest_angle(settled, first) <= np.sqrt(tol)
+
+
+def test_a_krylov_start_that_parts_from_the_first_runs_to_its_own_stop():
+    # on two copies of one graph the top eigenvalue is doubled, and the
+    # second run's leading row never agrees with the first's: it stops
+    # where a run given nothing to agree with stops, on the same rows
+    g = _two_copies(_bpam_1000(2))
+    tol = IterationControl().tol
+    rng = np.random.Generator(np.random.PCG64(5))
+    first = rankers._krylov_start(g, 1, tol, rng)
+    draw = rng.bit_generator.state
+    second = rankers._krylov_start(g, 1, tol, rng, 1, first)
+    rng.bit_generator.state = draw
+    assert np.array_equal(second, rankers._krylov_start(g, 1, tol, rng))
+    assert rankers._sin_largest_angle(second, first) > np.sqrt(tol)
+
+
 @pytest.mark.parametrize("seed, pagerank_iterations, rhits_iterations", [
     (1, 19, 20), (2, 19, 21), (3, 21, 20),
 ])
