@@ -8,9 +8,10 @@ labels may be arbitrary strings; they are remapped to dense ids in
 color-file order and the mapping can be written back out.
 
 Each input file is read forward once, in chunks of whole lines, so it may
-be a pipe; a UTF-8 byte-order mark at its start is dropped. A chunk whose
-every line is two plain ASCII labels and one tab is split and mapped in
-bulk. Every other chunk, and a plain one that holds a fault, goes through
+be a pipe; a UTF-8 byte-order mark at its start is dropped, and a byte
+that is not UTF-8 is an error that names its line. A chunk whose every
+line is two plain ASCII labels and one tab is split and mapped in bulk.
+Every other chunk, and a plain one that holds a fault, goes through
 the line parser, the one place that skips comments and blank lines and
 raises parse errors, so both paths give the same records and errors.
 
@@ -70,8 +71,9 @@ def _chunks(path) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, text)``: the file in pieces of whole lines, about
     ``_CHUNK`` characters each, with the number of each piece's first line.
     The file is read forward once, so it may be a pipe. A UTF-8 byte-order
-    mark at its start is dropped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    mark at its start is dropped, and a byte that is not UTF-8 is an error
+    (see ``_utf8``)."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lineno, carry = 1, ""
         while block := fh.read(_CHUNK):
             cut = block.rfind("\n") + 1
@@ -79,10 +81,28 @@ def _chunks(path) -> Iterator[tuple[int, str]]:
                 carry += block
                 continue
             text, carry = carry + block[:cut], block[cut:]
-            yield lineno, text
+            yield from _utf8(path, lineno, text)
             lineno += text.count("\n")
         if carry:
-            yield lineno, carry
+            yield from _utf8(path, lineno, carry)
+
+
+def _utf8(path, lineno: int, text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, text)`` if ``text``, whose first line is line
+    ``lineno`` of ``path``, decoded without error. Otherwise yield the
+    lines before its first bad byte, so their faults come first, and raise
+    a GraphError naming that byte's line. The decoder escapes each bad byte
+    to a lone surrogate, which UTF-8 cannot encode."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            head = text[: text.rfind("\n", 0, exc.start) + 1]
+            if head:
+                yield lineno, head
+            lineno += head.count("\n")
+            raise GraphError(f"{path}:{lineno}: not UTF-8") from None
+    yield lineno, text
 
 
 def _plain_fields(text: str) -> Optional[list[str]]:

@@ -79,6 +79,15 @@ def test_bad_color_value_reports_location(tmp_path, capsys):
     assert "c.tsv:2" in err and "unknown color 'X'" in err
 
 
+def test_rank_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "e.tsv").write_bytes(b"a\tb\nb\ta\n\xffa\tb\n")
+    (tmp_path / "c.tsv").write_text("a\tR\nb\tB\n")
+    code = run_cli("rank", "--edges", str(tmp_path / "e.tsv"),
+                   "--colors", str(tmp_path / "c.tsv"), "--algo", "degree")
+    assert code == 2
+    assert "e.tsv:3: not UTF-8" in capsys.readouterr().err
+
+
 def test_rank_needs_both_files(tmp_path, capsys):
     (tmp_path / "e.tsv").write_text("0\t1\n")
     with pytest.raises(SystemExit) as exc:

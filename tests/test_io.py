@@ -170,6 +170,41 @@ def test_a_byte_order_mark_is_not_part_of_a_label(tmp_path):
     assert labels == ["0", "1"]
 
 
+def _numbered_files(n):
+    edges = "".join(f"{i}\t{(i + 1) % n}\n" for i in range(n)).encode()
+    colors = "".join(f"{i}\t{'RB'[i % 2]}\n" for i in range(n)).encode()
+    return edges, colors
+
+
+def _spoil(text: bytes, line: int, byte: bytes) -> bytes:
+    """``text`` with ``byte`` put at the start of line ``line`` (1-based)."""
+    lines = text.split(b"\n")
+    lines[line - 1] = byte + lines[line - 1]
+    return b"\n".join(lines)
+
+
+# line 3 lies in the first chunk, line 12,000 past the first 64 Ki characters
+@pytest.mark.parametrize("line", [3, 12_000])
+@pytest.mark.parametrize("spoiled", ["e.tsv", "c.tsv"])
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, spoiled, line):
+    edges, colors = _numbered_files(20_000)
+    for name, text in (("e.tsv", edges), ("c.tsv", colors)):
+        (tmp_path / name).write_bytes(_spoil(text, line, b"\xff") if name == spoiled else text)
+    with pytest.raises(GraphError, match=rf"{spoiled}:{line}: not UTF-8$"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+
+
+@pytest.mark.parametrize("line", [3, 12_000])
+def test_faults_before_a_byte_that_is_not_utf8_come_first(tmp_path, line):
+    # a truncated two-byte sequence on the next line, in the same chunk
+    edges, colors = _numbered_files(20_000)
+    edges = _spoil(_spoil(edges, line - 1, b"z"), line, b"\xc3")
+    (tmp_path / "e.tsv").write_bytes(edges)
+    (tmp_path / "c.tsv").write_bytes(colors)
+    with pytest.raises(GraphError, match=rf"e\.tsv:{line - 1}: node 'z\d+' has no entry"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+
+
 # -- the bulk path and the line parser ----------------------------------------
 
 # plain lines around each input, so its odd lines fall in later chunks
