@@ -507,8 +507,10 @@ def _sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
     Projects ``cur`` onto the complement of ``prev`` (no cancellation for
     tiny angles) and takes the square root of the top eigenvalue of the
     k x k Gram of that residual, which equals its squared spectral norm.
+    The residual overwrites the projection, so one (k, n) block is made.
     """
-    resid = cur - (cur @ prev.T) @ prev
+    resid = (cur @ prev.T) @ prev
+    np.subtract(cur, resid, out=resid)
     return float(np.sqrt(max(np.linalg.eigvalsh(resid @ resid.T)[-1], 0.0)))
 
 
