@@ -587,12 +587,13 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     verdict is kept, so the second start stops as soon as its leading rows
     come within half that angle of the first's; one that parts runs to its
     own stop. A one-row start draws only before its first product, so the
-    early stop moves no later draw. When they part, or a start breaks down or stops at its cap, a Krylov start with
-    blocks of b rows gives all b rows instead; it holds b directions of
-    every eigenspace, as the block does, so ties stay in view. A graph too
-    small for that basis starts from the leading eigenvectors of its dense
-    n x n A^T A. All draws come from a fixed internal seed, and only the
-    block solver judges convergence and ties.
+    early stop moves no later draw. When they part, or a start breaks down
+    or stops at its cap, a Krylov start with blocks of b rows gives all b
+    rows instead; it holds b directions of every eigenspace, as the block
+    does, so ties stay in view. A graph too small for that basis starts
+    from the leading eigenvectors of its dense n x n A^T A. All draws come
+    from a fixed internal seed, and only the block solver judges
+    convergence and ties.
 
     Every sweep is plain: it multiplies the block by A^T A once, one product
     per row, takes the Ritz pairs, and the next block is ``orth(A^T A q)``

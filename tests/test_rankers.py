@@ -488,7 +488,7 @@ def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monke
     # as its leading rows agree with the first's. Run to its own settling the
     # second took 41/41/31 products. The two block sweeps take 8 products each
     g = _bpam_1000(seed)
-    products = []
+    products, starts = [], []
     forward, krylov = rankers._forward, rankers._krylov_start
 
     def counted(g, x):
@@ -501,7 +501,6 @@ def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monke
         starts.append(len(products) - before)
         return rows
 
-    starts = []
     monkeypatch.setattr(rankers, "_forward", counted)
     monkeypatch.setattr(rankers, "_krylov_start", start)
     spectrum = Spectrum(g, (1, 6))
