@@ -145,7 +145,8 @@ _OPTIONS = (
             field="weight", to_field=_WEIGHT_BY_FLAG.__getitem__,
             choices=sorted(_WEIGHT_BY_FLAG)),
     _Option("--tol", _RANKING, "convergence tolerance: L1 change of the iterates, or "
-            "subspace angle sine for hits and subspace", type=float, field="tol"),
+            "relative Ritz residual and subspace angle sine for hits and subspace",
+            type=float, field="tol"),
     _Option("--max-iter", _RANKING, "iteration cap", type=int, field="max_iter"),
     _Option("--degree-which", _RANKING, "degree kind for the degree ranker",
             field="degree_which", choices=("in", "total")),

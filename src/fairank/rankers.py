@@ -65,11 +65,14 @@ class IterationControl:
     iteration is one evaluation of the update map F (``_fixed_point``) and
     ``tol`` bounds the L1 norm of F(x) - x at the last point evaluated. For
     the Ritz solver of HITS and subspace HITS one iteration is one block
-    sweep, one product with A^T A per row of the block, and ``tol`` bounds
-    the sine of the largest angle between successive leading subspaces; the
-    sweeps follow an uncounted Krylov start of two one-row runs, the second
-    stopped once it agrees with the first (see ``_krylov_start`` and
-    ``_ritz_topk``). ``max_iter`` caps the iterations.
+    sweep, one product with A^T A per row of the block. Every solve begins
+    with an uncounted Krylov start of two one-row runs, the second stopped
+    once it agrees with the first (see ``_krylov_start`` and
+    ``_ritz_topk``); the first settles its Ritz pairs to residual norms of
+    at most ``tol`` times the top Ritz value. When they agree and those
+    pairs resolve every boundary read, they are the solve and no sweep
+    runs; otherwise ``tol`` bounds the sine of the largest angle between
+    successive leading subspaces. ``max_iter`` caps the iterations.
     """
 
     tol: float = 1e-10
@@ -137,11 +140,12 @@ class RankingResult:
     """Scores plus the induced deterministic ranking.
 
     ``order`` is a permutation of node ids, best first: score descending,
-    node id ascending on ties. ``residual`` is the last change that
-    ``IterationControl.tol`` bounds (0 for direct methods, inf when none was
-    measured); ``degenerate`` flags rankings that sit on a (numerically)
-    non-simple leading eigenvalue or a rank-deficient subspace, where the
-    order is not robust.
+    node id ascending on ties. ``residual`` is what ``IterationControl.tol``
+    bounds: the last change, or for a Ritz solve that ran no sweep the
+    largest residual norm of its settled Ritz pairs over the top Ritz value
+    (0 for direct methods, inf when none was measured); ``degenerate``
+    flags rankings that sit on a (numerically) non-simple leading
+    eigenvalue or a rank-deficient subspace, where the order is not robust.
     """
 
     algorithm: str
@@ -248,7 +252,8 @@ def hits(
     eigenvector of A^T A (hubs: of A A^T). On a simple top eigenvalue that
     is the top Ritz vector, signed to agree with the indegrees, read from
     ``spectrum`` (a :class:`Spectrum` of ``g`` that holds k = 1) or from a
-    solve of its own at k = 1; an iteration is then a sweep of that solve.
+    solve of its own at k = 1; an iteration is then a sweep of that solve,
+    and a solve whose Krylov start is the solve runs none.
     On a tied one only the all-ones start picks the limit, so the
     reinforcement loop runs, and its limit is signed the same way.
     Authorities below ``ctrl.tol`` times the largest are below what either
@@ -367,6 +372,18 @@ def randomized_hits(
     return auth, hub
 
 
+class _SettledRows(np.ndarray):
+    """The k leading Ritz rows of a settled one-row Krylov run: a (k, n)
+    array to every caller, which also carries the run's leading k + 2 Ritz
+    values ``theta`` and the residual norms ``resid`` of its k + 1 settled
+    pairs, so a solve can read the boundaries without another product."""
+
+    def __new__(cls, rows, theta, resid):
+        self = rows.view(cls)
+        self.theta, self.resid = theta, resid
+        return self
+
+
 def _krylov_start(
     g: ColoredDigraph, k: int, tol: float, rng, s: int = 1, agree: Optional[np.ndarray] = None
 ) -> Optional[np.ndarray]:
@@ -382,7 +399,8 @@ def _krylov_start(
     keeps the leading p = k + 4 Ritz rows and the s residual rows. The run
     settles when each of the leading k + 1 Ritz pairs has a residual norm
     of at most ``tol`` theta_1, and returns its leading max(k, s) Ritz
-    rows. It is skipped when n <= m + s.
+    rows; a settled one-row run returns them as ``_SettledRows``, with its
+    Ritz values and those residual norms. It is skipped when n <= m + s.
 
     A breakdown (a product whose new part is below 1e-12 theta_1, so the
     basis spans an invariant subspace) and a restart that would pass
@@ -441,9 +459,12 @@ def _krylov_start(
         products += m - first
         theta, y = np.linalg.eigh(t[:m, :m])
         theta, y = theta[::-1], y[:, ::-1]
-        settled = bool(np.all(np.linalg.norm(t[m:, :m] @ y[:, : k + 1], axis=0) <= tol * theta[0]))
+        resid = np.linalg.norm(t[m:, :m] @ y[:, : k + 1], axis=0)
+        settled = bool(np.all(resid <= tol * theta[0]))
+        if settled and s == 1:
+            return _SettledRows(y[:, :k].T @ basis[:m], np.maximum(theta[: k + 2], 0.0), resid)
         if settled or products + m - p > _KRYLOV_SWEEPS * (k + 2):
-            return y[:, : max(k, s)].T @ basis[:m] if settled or s > 1 else None
+            return y[:, : max(k, s)].T @ basis[:m] if s > 1 else None
         basis[:p] = y[:, :p].T @ basis[:m]
         basis[p : p + s] = basis[m:]
         if agree is not None:
@@ -524,20 +545,29 @@ def _tied(theta: np.ndarray, k: int) -> bool:
     return k < len(theta) and bool(theta[k - 1] - theta[k] <= _tie_tol(theta))
 
 
+def _gap_resolved(theta: np.ndarray, k: int, resid: float, tol: float) -> bool:
+    """Whether theta_k and theta_{k+1} are untied and told apart by a
+    (k+1)-th Ritz pair of residual norm ``resid``: the gap exceeds the tie
+    tolerance plus ``resid``, or ``resid`` is below ``tol`` theta_1."""
+    gap = theta[k - 1] - theta[k]
+    return not _tied(theta, k) and bool(gap > _tie_tol(theta) + resid or resid < tol * theta[0])
+
+
 def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
     """The stop test of ``_ritz_topk`` at the boundary between theta_k and theta_{k+1}.
 
     The largest principal angle (measured by its sine, from a k x k Gram)
     between successive leading-k subspaces must drop below ``angle_tol``
-    with the gap theta_k - theta_{k+1} resolved: it exceeds the tie
-    tolerance plus the residual norm r of the (k+1)-th Ritz pair, or r is
-    below ``angle_tol * theta_1``. A one-row Krylov start settles the
-    leading k rows before the block's normal rows reach the next
-    eigenvector, so without the residual test theta_{k+1} could still sit
-    below an eigenvalue tied with theta_k and the tie would go unflagged. On a
-    tied boundary the gap check flags the tie, and the stall rule passes it
-    once the leading-k subspace, or the span of the rows down to the last
-    one tied with theta_k, moves by less than max(``angle_tol``, 1e-8).
+    with the gap theta_k - theta_{k+1} resolved (``_gap_resolved``): it
+    exceeds the tie tolerance plus the residual norm r of the (k+1)-th Ritz
+    pair, or r is below ``angle_tol * theta_1``. A one-row Krylov start
+    settles the leading k rows before the block's normal rows reach the
+    next eigenvector, so without the residual test theta_{k+1} could still
+    sit below an eigenvalue tied with theta_k and the tie would go
+    unflagged. On a tied boundary the gap check flags the tie, and the
+    stall rule passes it once the leading-k subspace, or the span of the
+    rows down to the last one tied with theta_k, moves by less than
+    max(``angle_tol``, 1e-8).
 
     Returns (angle, tied, settled): the angle (inf without a previous
     sweep), whether theta_k and theta_{k+1} tie, and whether the boundary
@@ -547,7 +577,6 @@ def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
     if prev is None:
         return np.inf, tied, False
     angle = _sin_largest_angle(ritz[:k], prev[:k])
-    tie_tol = _tie_tol(theta)
     if tied:
         # the leading-k subspace is only defined up to rotations across the
         # gap, so further sweeps cannot sharpen it. Once a tied cluster is
@@ -556,44 +585,51 @@ def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
         # span, as A^T A maps its rows to rounding noise: there the rows
         # above it are the span that settles
         settle_tol = max(angle_tol, _STALL_ANGLE_TOL)
+        tie_tol = _tie_tol(theta)
         if theta[k - 1] > tie_tol:
             m = int(np.count_nonzero(theta >= theta[k - 1] - tie_tol))
         else:
             m = int(np.count_nonzero(theta > tie_tol))
         settled = angle < settle_tol or _sin_largest_angle(ritz[:m], prev[:m]) < settle_tol
     elif angle < angle_tol:
-        if k < len(theta):
-            gap = theta[k - 1] - theta[k]
-            resid = np.linalg.norm(rot[k] @ z - theta[k] * ritz[k])
-        else:
-            gap, resid = np.inf, 0.0
-        settled = bool(gap > tie_tol + resid or resid < angle_tol * theta[0])
+        settled = k == len(theta) or _gap_resolved(
+            theta, k, np.linalg.norm(rot[k] @ z - theta[k] * ritz[k]), angle_tol
+        )
     else:
         settled = False
     return angle, tied, settled
 
 
 def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower: tuple = ()):
-    """Leading Ritz pairs of A^T A by block subspace iteration from a Krylov start.
+    """Leading Ritz pairs of A^T A from a Krylov start, swept only when it is not the solve.
 
-    The block holds b = k + 2 (clipped to n) orthonormal rows in a (b, n)
-    array, so every matvec reads a contiguous row. It starts from the k
-    leading Ritz rows of an uncounted one-row Krylov start
-    (``_krylov_start``) and b - k normal rows. A one-row Krylov space holds
-    one direction of a tied eigenspace, and the gap test would pass before
-    the normal rows found the others, so a second start from an independent
-    draw must agree within sqrt(``angle_tol``): on a tie at or above
-    theta_k the two leading-k subspaces part at a random angle. Only that
-    verdict is kept, so the second start stops as soon as its leading rows
-    come within half that angle of the first's; one that parts runs to its
-    own stop. A one-row start draws only before its first product, so the
-    early stop moves no later draw. When they part, or a start breaks down
-    or stops at its cap, a Krylov start with blocks of b rows gives all b
-    rows instead; it holds b directions of every eigenspace, as the block
-    does, so ties stay in view. A graph too small for that basis starts
-    from the leading eigenvectors of its dense n x n A^T A. All draws come
-    from a fixed internal seed, and only the block solver judges
-    convergence and ties.
+    Two uncounted one-row Krylov runs (``_krylov_start``) from independent
+    draws start every solve. A one-row Krylov space holds one direction of
+    a tied eigenspace, so on a tie at or above theta_k the two leading-k
+    subspaces part at a random angle: they must agree within
+    sqrt(``angle_tol``). Only that verdict is kept, so the second run stops
+    as soon as its leading rows come within half that angle of the first's;
+    one that parts runs to its own stop. A one-row run draws only before
+    its first product, so the early stop moves no later draw.
+
+    When they agree, the first run has settled its leading k + 1 Ritz pairs
+    to residual norms r_j of at most ``angle_tol`` theta_1. Its Ritz pairs
+    are the solve, a warm solve with no sweep, when its theta passes the
+    gap rule of ``_boundary`` (``_gap_resolved``) at k and at each size in
+    ``lower``: each row then lies within r_j over the gap of its
+    eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970). A warm solve
+    returns b = min(k + 2, n) Ritz values, the k rows, 0 sweeps, converged,
+    the largest r_j / theta_1 as its residual, and no tie.
+
+    Otherwise block subspace iteration runs on b orthonormal rows in a
+    (b, n) array, so every matvec reads a contiguous row. It starts from
+    the first run's k rows and b - k normal rows when the runs agree but
+    its theta ties at a boundary that is read. When they part, or a run
+    breaks down or stops at its cap, a Krylov start with blocks of b rows
+    gives all b rows instead; it holds b directions of every eigenspace, as
+    the block does, so ties stay in view. A graph too small for that basis
+    starts from the leading eigenvectors of its dense n x n A^T A. All
+    draws come from a fixed internal seed.
 
     Every sweep is plain: it multiplies the block by A^T A once, one product
     per row, takes the Ritz pairs, and the next block is ``orth(A^T A q)``
@@ -605,8 +641,9 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
     The subspace sizes in ``lower`` (each below k) are read from the same
     solve, so iteration stops only when the stop test (``_boundary``)
     passes at k and at each of them. Returns (theta, U, sweeps, converged,
-    angle, tied): eigenvalues descending, the Ritz vectors as rows of U,
-    and the last angle (inf after one sweep) and tie verdict at k.
+    residual, tied): eigenvalues descending, the Ritz vectors as rows of U,
+    the residual (a warm solve's relative Ritz residual, else the last
+    angle of the sweeps, inf after one sweep) and the tie verdict at k.
     """
     n = g.n
     b = min(k + 2, n)
@@ -617,6 +654,9 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower
         second = _krylov_start(g, k, angle_tol, rng, 1, start)
         if second is None or _sin_largest_angle(start, second) > np.sqrt(angle_tol):
             start = None
+        elif all(_gap_resolved(start.theta, j, start.resid[j], angle_tol) for j in bounds):
+            residual = float(start.resid.max() / start.theta[0])
+            return start.theta, np.asarray(start), 0, True, residual, False
         del second
     if start is None:
         start = _krylov_start(g, k, angle_tol, rng, b)
@@ -659,8 +699,10 @@ class Spectrum:
 
     ``ks`` holds every subspace size that will be read: HITS reads 1 and
     subspace HITS its ``k``. The one ``_ritz_topk`` solve runs at the
-    largest and applies the stop test at every boundary in ``ks``, so each
-    reader gets a tie verdict resolved at its own k. Readers share its
+    largest and applies its tests at every boundary in ``ks``: the Krylov
+    start is the solve only when it resolves them all, and the sweeps stop
+    only when each passes, so each reader gets a tie verdict resolved at
+    its own k. Readers share its
     arrays, which are read-only. Hold one per graph and drop it with the
     graph; nothing else caches a solve.
     """

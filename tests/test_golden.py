@@ -109,7 +109,7 @@ GOLDEN = {
     },
     "rank_files": {
         "ranking.csv":
-            "548361832e6484bfd4b310ebea67bdcf836eba4e81182d4d88cb36787c056423",
+            "685544ac4457c83e87647a81d82df760c57d4bcad56e8922f3757f3932cd903a",
     },
     "sweep_rho": {
         "manifest.json":

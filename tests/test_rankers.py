@@ -439,10 +439,11 @@ ORDER_SHA256 = {
     (1, 19, 2), (2, 18, 2), (3, 2, 2), (11, 10, 2),
 ])
 def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations, monkeypatch):
-    # From the Krylov start the block solver takes 2 sweeps, the fewest its
-    # stop test allows (one to take the Ritz pairs, one to measure their
-    # angle), for subspace HITS and for HITS alike: a start that stops
-    # short of the tolerance shows here. The parametrized counts are those
+    # A warm solve, whose two one-row Krylov starts agree, is the first
+    # start's Ritz pairs and runs no sweep, for subspace HITS and for HITS
+    # alike (the block solver took 2 sweeps after it, the fewest its stop
+    # test allows): a start that falls back to the sweeps shows here. The
+    # parametrized counts are those
     # of the cold solve, started by the block Krylov run alone. At k = 6
     # that run stops at its product cap on three of the four graphs
     # (the Chebyshev-filtered cold block took 12/14/12/11 sweeps and HITS
@@ -452,7 +453,7 @@ def test_solver_iteration_counts_are_pinned(seed, sweeps, hits_iterations, monke
     # node that either path moves
     g = _bpam_1000(seed)
     krylov = rankers._krylov_start
-    for expected_sweeps, expected_hits in ((2, 2), (sweeps, hits_iterations)):
+    for expected_sweeps, expected_hits in ((0, 0), (sweeps, hits_iterations)):
         res = subspace_hits(g, 6)
         assert res.iterations_used == expected_sweeps
         assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[seed]
@@ -486,7 +487,8 @@ def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monke
     # products with A^T A (one _forward call each) of one warm solve read at
     # k = 1 and 6: the first one-row start settles, the second stops as soon
     # as its leading rows agree with the first's. Run to its own settling the
-    # second took 41/41/31 products. The two block sweeps take 8 products each
+    # second took 41/41/31 products. The solve runs no block sweep, where two
+    # took 8 products each
     g = _bpam_1000(seed)
     products, starts = [], []
     forward, krylov = rankers._forward, rankers._krylov_start
@@ -504,9 +506,89 @@ def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monke
     monkeypatch.setattr(rankers, "_forward", counted)
     monkeypatch.setattr(rankers, "_krylov_start", start)
     spectrum = Spectrum(g, (1, 6))
-    assert spectrum.read(g, 6, spectrum.ctrl)[2] == 2
+    assert spectrum.read(g, 6, spectrum.ctrl)[2] == 0
     assert starts == [first, second]
-    assert len(products) == first + second + 2 * 8
+    assert len(products) == first + second
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_warm_solve_is_the_first_krylov_start(seed, monkeypatch):
+    # the two one-row starts agree and the first one's Ritz values resolve
+    # both boundaries read, 1 and 6: its Ritz pairs are the solve, so every
+    # product with A^T A is a start's and no block sweep runs
+    g = _bpam_1000(seed)
+    products, starts = [], []
+    forward, krylov = rankers._forward, rankers._krylov_start
+
+    def counted(g, x):
+        products.append(1)
+        return forward(g, x)
+
+    def start(*args):
+        before = len(products)
+        starts.append((krylov(*args), len(products) - before))
+        return starts[-1][0]
+
+    monkeypatch.setattr(rankers, "_forward", counted)
+    monkeypatch.setattr(rankers, "_krylov_start", start)
+    spectrum = Spectrum(g, (1, 6))
+    theta, ritz, sweeps, converged, residual, tied = spectrum.read(g, 6, spectrum.ctrl)
+    (first, _), _ = starts
+    assert len(products) == sum(count for _, count in starts)
+    assert (sweeps, converged, tied) == (0, True, False)
+    assert theta.shape == (8,) and np.array_equal(theta, first.theta)
+    assert type(ritz) is np.ndarray and np.array_equal(ritz, first)
+    assert residual == first.resid.max() / theta[0] <= spectrum.ctrl.tol
+
+
+# rounding leaves a residual of about 1e-15 theta_1 in rows formed in floating
+# point, where the Krylov estimate that a warm solve reports reads as low as
+# 6e-18 theta_1 on these graphs
+_ROUNDING_RESIDUAL = 1e-14
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_warm_rows_lie_within_their_residual_over_the_gap(seed):
+    # Davis & Kahan (SIAM J. Numer. Anal. 7, 1970): a Ritz row's angle to its
+    # eigenspace is at most its residual over the gap, here the largest
+    # relative residual times theta_1 over theta_k - theta_{k+1}, up to
+    # rounding. The rows' own residuals, measured, stay below the reported one
+    g = _bpam_1000(seed)
+    edges = list(zip(g.src.tolist(), g.dst.tolist()))
+    _, _, vectors = oracles.dense_authority_eig(edges, g.n)
+    for k in (1, 3, 6):
+        theta, ritz, sweeps, _, residual, _ = rankers._ritz_topk(g, k, 1000, 1e-10)
+        assert sweeps == 0
+        floor = (residual + _ROUNDING_RESIDUAL) * theta[0]
+        for t, row in zip(theta, ritz):
+            assert np.linalg.norm(rankers._backward(g, rankers._forward(g, row)) - t * row) <= floor
+        sine = _sin_largest_angle(ritz, np.ascontiguousarray(vectors[:, :k].T))
+        assert sine <= floor / (theta[k - 1] - theta[k])
+
+
+# SHA-256 over theta, the Ritz rows and (sweeps, converged, residual, tied) of
+# Spectrum(g, (1, 2)) on two copies of _bpam_1000(2), taken from the solver
+# that swept every solve
+FALL_THROUGH_SHA256 = "4f892a9091ddc29f87c1528722e15434d9efb92fd7342a1bcd71d754576ae1d8"
+
+
+def test_a_start_tied_at_a_boundary_read_keeps_the_sweeps(solver_calls):
+    # on two copies of one graph both one-row starts at k = 2 hold the doubled
+    # top eigenvalue twice and agree, so their theta_1 and theta_2 tie at the
+    # boundary 1 that HITS reads: the solve sweeps from the first start's
+    # rows, bitwise as it did before warm solves
+    g = _two_copies(_bpam_1000(2))
+    spectrum = Spectrum(g, (1, 2))
+    solve = spectrum.read(g, 2, spectrum.ctrl)
+    first, second = solver_calls["_krylov_start"]
+    assert _sin_largest_angle(first, second) <= np.sqrt(spectrum.ctrl.tol)
+    assert rankers._tied(first.theta, 1) and not rankers._tied(first.theta, 2)
+    assert solve[2] == 2 and solve[3]
+    h = hashlib.sha256()
+    for block in solve[:2]:
+        h.update(block.tobytes())
+    h.update(repr(solve[2:]).encode())
+    assert h.hexdigest() == FALL_THROUGH_SHA256
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
@@ -970,9 +1052,15 @@ def test_non_convergence_is_reported():
     assert res.residual > 1e-14
 
 
-def test_a_single_sweep_reports_an_infinite_residual():
-    # one sweep measures no change, so no residual: 0.0 would read as exact
+def test_a_single_sweep_reports_an_infinite_residual(monkeypatch):
+    # one sweep measures no change, so no residual: 0.0 would read as exact.
+    # A warm solve runs no sweep, so the Ritz rankers are forced cold as in
+    # test_solver_iteration_counts_are_pinned: only the block start runs
     g = _bpam_1000(1)
+    krylov = rankers._krylov_start
+    monkeypatch.setattr(
+        rankers, "_krylov_start", lambda g, k, tol, rng, s=1: krylov(g, k, tol, rng, s) if s > 1 else None
+    )
     one = IterationControl(max_iter=1)
     for res in (subspace_hits(g, 3, ctrl=one), *hits(g, one), *randomized_hits(g, ctrl=one)):
         assert not res.converged and res.residual == np.inf
@@ -981,9 +1069,9 @@ def test_a_single_sweep_reports_an_infinite_residual():
 # SHA-256 over the scores and (iterations, converged, residual) of pagerank,
 # hits and randomized_hits on one n=1000 BPAM graph, at three stopping rules
 POWER_ITERATION_SHA256 = {
-    1000: "674c9c1840c4074d240ee412051cb9280988f86dc6c4a3afefbec52679ac395e",
-    1: "94fb0478f9636ff699fb982723a602f99950c283d0f47af0b61335a5e51143c9",
-    2: "aacace75d6766a3b2f0cb841cd1138692295de0ae4633641bd128caac8596ee6",
+    1000: "66f323453020d810da8b6208be86cc9654c5ff689d0084908361c3142d5d3f95",
+    1: "1bd3a72b10d1f04349272905120142f49e1043bdd1d36084fd637f1b3bfbbc1a",
+    2: "c5213432a1184e3157c43af4d802d3e360827058311458fd6cb1b67b7573f40f",
 }
 
 
