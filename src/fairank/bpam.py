@@ -136,8 +136,8 @@ def _attach(
 ) -> tuple[np.ndarray, int]:
     """Every edge's target, resolved in rounds.
 
-    Returns the ``(m, 2)`` int64 edges and the number of rejected
-    cross-color draws.
+    Returns the ``(m, 2)`` edges, int32 where they fit, and the number of
+    rejected cross-color draws.
     """
     m = 1 + (n - 2) * d
     itype = np.int32 if 2 * m < 2**31 else np.int64
@@ -196,4 +196,4 @@ def _attach(
         keep[ready[accepted]] = False
         pend, slot, streak = pend[keep], slot[keep], streak[keep]
 
-    return ep.reshape(m, 2).astype(np.int64), rejections
+    return ep.reshape(m, 2), rejections

@@ -123,7 +123,9 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
         raise GraphError("edge list is empty")
     if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
         raise GraphError("edges must be (src, dst) pairs")
-    edge_arr = edge_arr.astype(np.int64, copy=False)
+    # one int64 copy per column, and none of the whole array
+    src = edge_arr[:, 0].astype(np.int64)
+    dst = edge_arr[:, 1].astype(np.int64)
 
     color_arr = np.asarray(colors)
     if color_arr.ndim != 1 or color_arr.size == 0:
@@ -133,8 +135,6 @@ def from_edge_list(edges: Iterable, colors: ColorSpec) -> ColoredDigraph:
     if not np.all((color_arr == Color.B) | (color_arr == Color.R)):
         raise GraphError("colors must be Color.R or Color.B")
 
-    src = edge_arr[:, 0].copy()
-    dst = edge_arr[:, 1].copy()
     lo = min(int(src.min()), int(dst.min()))
     hi = max(int(src.max()), int(dst.max()))
     if lo < 0 or hi >= n:

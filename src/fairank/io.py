@@ -16,15 +16,18 @@ the line parser, the one place that skips comments and blank lines and
 raises parse errors, so both paths give the same records and errors.
 
 Every text file the package writes goes through :func:`write_text`, and
-every table in it through :func:`table`: fields are ``"{}"``-formatted
-Python values, so a float is written as its shortest round-trip repr, and
-lines end in ``\\n`` on every platform.
+every table in it through :func:`table`: each field is written as
+``str(value)`` of a Python value, so a float is its shortest round-trip
+repr, and lines end in ``\\n`` on every platform. A block of rows is one
+``%`` operation over its cells, because a ``str.format`` call per row set
+the edge file's write time.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -211,15 +214,20 @@ def table(*blocks: Sequence, header: Optional[str] = None, sep: str = ",") -> st
     """The text of a table: the ``header`` line, if given, then one line per
     row of each block, a block being a sequence of columns.
 
-    Columns hold Python values (``ndarray.tolist()``), each written by
-    ``"{}"``: an int as its digits, a float as its shortest round-trip
-    repr. A block ends with its shortest column, so a constant column can
-    be an ``itertools.repeat``.
+    Each field is written as ``str(value)``: an int as its digits, a float
+    as its shortest round-trip repr. Columns hold Python values
+    (``ndarray.tolist()``), because ``str`` of a NumPy float32 scalar is
+    not the repr of the float it holds. A block is one ``%`` operation over
+    its cells, not a ``str.format`` call per row, and the cells are
+    arguments, so a label that holds ``%`` or ``{}`` is written as read. A
+    block ends with its shortest column, so a constant column can be an
+    ``itertools.repeat``.
     """
     parts = [] if header is None else [header + "\n"]
     for columns in blocks:
-        fmt = sep.join(["{}"] * len(columns)) + "\n"
-        parts += map(fmt.format, *columns)
+        cells = tuple(chain.from_iterable(zip(*columns)))
+        line = sep.join(["%s"] * len(columns)) + "\n"
+        parts.append(line * (len(cells) // len(columns)) % cells)
     return "".join(parts)
 
 

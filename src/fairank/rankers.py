@@ -141,11 +141,14 @@ class RankingResult:
 
     ``order`` is a permutation of node ids, best first: score descending,
     node id ascending on ties. ``residual`` is what ``IterationControl.tol``
-    bounds: the last change, or for a Ritz solve that ran no sweep the
-    largest residual norm of its settled Ritz pairs over the top Ritz value
-    (0 for direct methods, inf when none was measured); ``degenerate``
-    flags rankings that sit on a (numerically) non-simple leading
-    eigenvalue or a rank-deficient subspace, where the order is not robust.
+    bounds: the last change (0 for direct methods, inf when none was
+    measured), or for a Ritz solve that ran no sweep the Krylov
+    recurrence's estimate ``||t[m:, :m] @ y|| / theta_1`` of the largest
+    residual norm of its settled Ritz pairs over the top Ritz value. That
+    estimate can read below the rounding floor: 6e-18 where the rows
+    measure 1e-15. ``degenerate`` flags rankings that sit on a
+    (numerically) non-simple leading eigenvalue or a rank-deficient
+    subspace, where the order is not robust.
     """
 
     algorithm: str

@@ -289,6 +289,21 @@ def test_real_end_to_end(dataset, tmp_path):
     assert all(0.0 <= s <= 1.0 for s in shares)
 
 
+def test_real_on_generated_files_reproduces_the_curve_run(tmp_path):
+    # the file path (write, read, relabel) must rank the generated graph to
+    # the same bytes as the in-memory run of the same seed
+    graph = ["--nodes", "60", "--outdeg", "3", "--reps", "1", "--seed", "11"]
+    algos = ["--algos", "degree", "pagerank", "hits", "rhits", "subspace", "--strict"]
+    files = tmp_path / "files"
+    assert run_cli("generate", *graph, "--out-dir", str(files)) == 0
+    assert run_cli("real", "--edges", str(files / "edges_0000.tsv"),
+                   "--colors", str(files / "colors_0000.tsv"), *algos,
+                   "--out-dir", str(tmp_path / "real")) == 0
+    assert run_cli("curve", *graph, *algos, "--out-dir", str(tmp_path / "curve")) == 0
+    curves = (tmp_path / "real" / "curves.csv").read_bytes()
+    assert curves == (tmp_path / "curve" / "curves.csv").read_bytes()
+
+
 def test_real_homophilic_graph_underranks_minority(tmp_path):
     # strongly homophilic generated graph: mutual-reinforcement scores leave
     # the red class underrepresented near the top of the ranking

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 
 import fairank.io
 from fairank.bpam import BpamParams, generate
+from fairank.cli import main
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.io import (
     load_graph,
     read_color_file,
+    table,
     write_color_file,
     write_edge_list,
     write_node_mapping,
@@ -67,6 +70,53 @@ def test_hash_inside_label_round_trips(tmp_path):
 def test_node_mapping_file(tmp_path):
     write_node_mapping(tmp_path / "map.tsv", ["x", "y"])
     assert (tmp_path / "map.tsv").read_text() == "0\tx\n1\ty\n"
+
+
+# every kind of value the package writes, and labels that would be format
+# directives if they were part of the format string
+_VALUES = [7, -3, 0.1, 3.0000000000000004, float("nan"), float("inf"), float("-inf"),
+           -0.0, 5e-324, 1e300, True, np.float64(0.1), np.int64(-5),
+           "50%", "%s", "%%", "{}", "a#b"]
+
+
+def _blocks():
+    """Fresh blocks on every call, since map and repeat columns are one-shot."""
+    return [
+        (_VALUES, _VALUES[::-1]),
+        (range(len(_VALUES)), map(str, _VALUES), repeat("%d")),
+        (range(5), _VALUES),  # ragged: the shortest column ends the block
+        ([], range(3)),
+        (_VALUES[:2],),
+    ]
+
+
+def _rows_by_str(blocks, header, sep):
+    """The text of a table, one ``str`` call per field."""
+    head = "" if header is None else header + "\n"
+    return head + "".join(sep.join(map(str, row)) + "\n"
+                          for columns in blocks for row in zip(*columns))
+
+
+@pytest.mark.parametrize("sep", [",", "\t"])
+@pytest.mark.parametrize("header", [None, "a,b"])
+def test_table_writes_str_of_each_field(sep, header):
+    assert table(*_blocks(), header=header, sep=sep) == _rows_by_str(_blocks(), header, sep)
+    for block, same in zip(_blocks(), _blocks()):
+        assert table(block, header=header, sep=sep) == _rows_by_str([same], header, sep)
+
+
+def test_labels_that_hold_format_directives_are_written_as_read(tmp_path):
+    labels = ["50%", "%s", "{0}", "a%db"]
+    (tmp_path / "e.tsv").write_text("50%\t%s\n%s\t{0}\n{0}\ta%db\na%db\t50%\n50%\t{0}\n")
+    (tmp_path / "c.tsv").write_text("50%\tR\n%s\tB\n{0}\tB\na%db\tR\n")
+    files = ["--edges", str(tmp_path / "e.tsv"), "--colors", str(tmp_path / "c.tsv")]
+    assert main(["real", *files, "--algos", "degree", "--out-dir", str(tmp_path / "out")]) == 0
+    mapping = (tmp_path / "out" / "node_mapping.tsv").read_bytes()
+    assert mapping == b"0\t50%\n1\t%s\n2\t{0}\n3\ta%db\n"
+    out = tmp_path / "ranking.csv"
+    assert main(["rank", *files, "--algo", "degree", "--out", str(out)]) == 0
+    rows = out.read_text().split("\n")[1:-1]
+    assert sorted(row.split(",")[0] for row in rows) == sorted(labels)
 
 
 def test_parse_errors_carry_line_numbers(tmp_path):
