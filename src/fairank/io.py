@@ -9,11 +9,17 @@ color-file order and the mapping can be written back out.
 
 Each input file is read forward once, in chunks of whole lines, so it may
 be a pipe; a UTF-8 byte-order mark at its start is dropped, and a byte
-that is not UTF-8 is an error that names its line. A chunk whose every
-line is two plain ASCII labels and one tab is split and mapped in bulk.
-Every other chunk, and a plain one that holds a fault, goes through
-the line parser, the one place that skips comments and blank lines and
-raises parse errors, so both paths give the same records and errors.
+that is not UTF-8 is an error that names its line. Each edge chunk
+takes the first of three paths that fits it. (1) When every color label
+is a canonical decimal (digits, no leading zero other than in ``0``)
+below 8 times the node count, a chunk whose every label is such a
+decimal with a color entry is parsed and mapped in NumPy, through a table
+indexed by label value; ``01`` is not canonical, so it and ``1`` stay two
+labels. (2) A chunk whose every line is two plain ASCII labels and one tab
+is split and mapped in bulk through a dict. (3) Every other chunk, and
+one of the others that holds a fault, goes through the line parser, the
+one place that skips comments and blank lines and raises parse errors,
+so every path gives the same records and errors.
 
 Every text file the package writes goes through :func:`write_text`, and
 every table in it through :func:`table`: each field is written as
@@ -59,6 +65,13 @@ _LABEL_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord("#"))
 
 # the color tokens Color.parse takes that such a chunk can hold
 _COLOR_TOKENS = {token: c for c in Color for token in (c.name, c.name.lower())}
+
+# the bytes of a label that the id table can map
+_DIGITS = b"0123456789"
+
+# the id table spans labels below this multiple of the node count, so it
+# costs no more than the label strings
+_TABLE_SPAN = 8
 
 
 def _drop_comment(line: str) -> str:
@@ -108,6 +121,16 @@ def _utf8(path, lineno: int, text: str) -> Iterator[tuple[int, str]]:
     yield lineno, text
 
 
+def _records_of(seps: bytes) -> Optional[int]:
+    """The number of ``label<TAB>label`` lines in a chunk whose bytes other
+    than label bytes are ``seps``, if they alternate tab and newline,
+    starting with a tab; else None."""
+    lines, unterminated = divmod(len(seps), 2)
+    if seps != b"\t\n" * lines + b"\t" * unterminated:
+        return None
+    return lines + unterminated
+
+
 def _plain_fields(text: str) -> Optional[list[str]]:
     """``text.split()`` if that is exactly the fields the line parser
     yields, in the same order, else None.
@@ -119,12 +142,67 @@ def _plain_fields(text: str) -> Optional[list[str]]:
     chunk to the line parser."""
     if not text.isascii():
         return None
-    seps = text.encode("ascii").translate(None, _LABEL_BYTES)
-    lines, unterminated = divmod(len(seps), 2)
-    if seps != b"\t\n" * lines + b"\t" * unterminated:
+    records = _records_of(text.encode("ascii").translate(None, _LABEL_BYTES))
+    if records is None:
         return None
     fields = text.split()
-    return fields if len(fields) == 2 * (lines + unterminated) else None
+    return fields if len(fields) == 2 * records else None
+
+
+def _canonical(data: bytes, count: int) -> Optional[np.ndarray]:
+    """The numbers in ``data``, digit strings between tabs and newlines, as
+    int64, if there are ``count`` of them and each is a canonical decimal:
+    no leading zero, other than in ``0`` itself. Else None.
+
+    Each field that starts with ``0`` must read as 0, and none may start
+    with ``00``. An empty field is missing from the count, and a field past
+    2**63 - 1 reads as that value, which no id table reaches."""
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(values) != count:
+        return None
+    starts = b"\n" + data
+    zero_starts = starts.count(b"\n0") + starts.count(b"\t0")
+    if zero_starts and (zero_starts != np.count_nonzero(values == 0)
+                        or starts.count(b"\n00") + starts.count(b"\t00")):
+        return None
+    return values
+
+
+def _id_table(labels: list[str]) -> Optional[np.ndarray]:
+    """``table[int(label)]`` is the id of each label, and -1 where no label
+    is, if every label is a canonical decimal below ``_TABLE_SPAN`` times
+    the number of labels; else None."""
+    text = "\n".join(labels)
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _DIGITS) != b"\n" * (len(labels) - 1):
+        return None
+    values = _canonical(data, len(labels))
+    if values is None or values.max() >= _TABLE_SPAN * len(labels):
+        return None
+    table = np.full(values.max() + 1, -1, dtype=np.int64)
+    table[values] = np.arange(len(labels))
+    return table
+
+
+def _decimal_ids(text: str, table: np.ndarray) -> Optional[np.ndarray]:
+    """The flat ``src, dst`` ids of a chunk whose every line is
+    ``label<TAB>label``, both labels canonical decimals with an entry in
+    ``table`` (see :func:`_id_table`), else None. A label that fails, such
+    as ``01`` or ``+1`` beside ``1``, may name another node or none, so its
+    chunk goes to the paths that map the label string."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    records = _records_of(data.translate(None, _DIGITS))
+    if not records:
+        return None
+    values = _canonical(data, 2 * records)
+    if values is None or values.max() >= len(table):
+        return None
+    ids = table[values]
+    return ids if ids.min() >= 0 else None
 
 
 def _records(path, form: str, lineno: int, text: str) -> Iterator[tuple[int, str, str]]:
@@ -185,29 +263,38 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     color_map = read_color_file(color_path)
     if not color_map:
         raise GraphError(f"{color_path}: no color records")
-    index = {label: i for i, label in enumerate(color_map)}
+    labels = list(color_map)
+    table = _id_table(labels)
+    index = None  # label -> id, built for the first chunk the table cannot map
 
-    ids = []  # flat src, dst ids, mapped while the file is read
+    parts = []  # one int64 array of flat src, dst ids per chunk
     for first, text in _chunks(edge_path):
+        if table is not None and (decimal := _decimal_ids(text, table)) is not None:
+            parts.append(decimal)
+            continue
+        if index is None:
+            index = {label: i for i, label in enumerate(labels)}
         fields = _plain_fields(text)
         if fields:
             try:
-                ids += itemgetter(*fields)(index)
+                parts.append(np.array(itemgetter(*fields)(index), dtype=np.int64))
                 continue
             except KeyError:
                 pass  # the line parser names the line
+        ids = []
         for lineno, src, dst in _records(edge_path, "src<TAB>dst", first, text):
             try:
                 ids += index[src], index[dst]
             except KeyError as exc:
                 raise GraphError(f"{edge_path}:{lineno}: node {exc.args[0]!r} has no "
                                  f"entry in {os.fspath(color_path)}") from None
-    if not ids:
+        parts.append(np.array(ids, dtype=np.int64))
+    if not sum(map(len, parts)):
         raise GraphError(f"{edge_path}: no edge records")
-    edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    del ids  # before the graph build copies the edges
+    edges = np.concatenate(parts).reshape(-1, 2)
+    del parts  # before the graph build copies the edges
     color_arr = np.fromiter(map(int, color_map.values()), dtype=np.uint8)
-    return from_edge_list(edges, color_arr), list(color_map)
+    return from_edge_list(edges, color_arr), labels
 
 
 def table(*blocks: Sequence, header: Optional[str] = None, sep: str = ",") -> str:

@@ -278,6 +278,21 @@ PARSE_CASES = [
     ("bad_color", "", "x\tpurple\n"),
     ("duplicate_in_one_chunk", "", "x\tR\nx\tR\n"),
     ("lower_case_and_spaced_colors", "x\ty\n", "x\tr\ny\t b \n"),
+    # decimal labels: the id table holds the canonical ones, so any other
+    # spelling of a number must not reach it
+    ("leading_zero_beside_one", "01\t1\n1\t01\n", "01\tB\n"),
+    ("leading_zero_with_no_entry", "3\t01\n", ""),
+    ("zero_and_double_zero", "0\t00\n00\t0\n", "00\tR\n"),
+    ("double_zero_with_no_entry", "0\t00\n", ""),
+    ("signed_labels", "-1\t1\n+1\t1\n", "-1\tR\n+1\tB\n"),
+    ("signed_label_with_no_entry", "3\t+1\n", ""),
+    ("twenty_digit_label", "3\t12345678901234567890\n", "12345678901234567890\tR\n"),
+    ("twenty_digit_label_with_no_entry", "3\t99999999999999999999\n", ""),
+    ("label_above_the_table", "3\t40\n", ""),
+    ("decimal_label_with_no_entry", "3\t42\n", "45\tR\n"),
+    ("color_labels_inside_the_table_span", "3\t327\n", "327\tR\n"),
+    ("sparse_color_labels", "3\t328\n", "328\tR\n"),
+    ("non_canonical_color_label", "7\t07\n", "07\tR\n"),
 ]
 
 
@@ -307,6 +322,7 @@ def _by_lines(monkeypatch, *paths):
         m.setattr(fairank.io, "_chunks",
                   lambda path: [(1, Path(path).read_text(encoding="utf-8-sig"))])
         m.setattr(fairank.io, "_plain_fields", lambda text: None)
+        m.setattr(fairank.io, "_id_table", lambda labels: None)
         return _outcome(*paths)
 
 
@@ -342,6 +358,52 @@ def test_plain_chunks_skip_the_line_parser(tmp_path, monkeypatch):
     assert parsed == []
     assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
     assert np.array_equal(loaded.colors, g.colors)
+
+    with open(tmp_path / "e.tsv", "a") as fh:
+        fh.write("0\tz\n")
+    with pytest.raises(GraphError, match=rf"e\.tsv:{g.n_edges + 1}: node 'z' has no entry"):
+        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert len(parsed) == 1
+
+
+def test_id_table_holds_dense_canonical_decimal_labels():
+    # the table spans labels below 8 times their count, so it costs no more
+    # than the label strings; any other label set is mapped through a dict
+    labels = [str(i) for i in range(0, 80, 2)]
+    table = fairank.io._id_table(labels)
+    assert table.tolist() == [i // 2 if i % 2 == 0 else -1 for i in range(79)]
+    assert fairank.io._id_table(labels + ["327"]) is not None
+    for label in ["328", "07", "00", "+1", "-1", "1e3", "x", "٣", "99999999999999999999"]:
+        assert fairank.io._id_table(labels + [label]) is None, label
+
+
+def test_decimal_chunks_are_mapped_in_numpy(tmp_path, monkeypatch):
+    # a written file pair has canonical decimal labels, so every edge chunk
+    # is mapped through the id table: none is split into label strings. A
+    # chunk with a missing label still reaches the line parser
+    g, _ = generate(BpamParams(300, 3, 0.3, 0.5), seed=4)
+    write_edge_list(tmp_path / "e.tsv", g)
+    write_color_file(tmp_path / "c.tsv", g)
+    split, parsed = [], []
+    plain_fields, records = fairank.io._plain_fields, fairank.io._records
+
+    def split_spy(text):
+        split.append(text)
+        return plain_fields(text)
+
+    def records_spy(path, form, lineno, text):
+        parsed.append(lineno)
+        return records(path, form, lineno, text)
+
+    monkeypatch.setattr(fairank.io, "_plain_fields", split_spy)
+    monkeypatch.setattr(fairank.io, "_records", records_spy)
+    monkeypatch.setattr(fairank.io, "_CHUNK", 256)
+    loaded, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    colors_text = (tmp_path / "c.tsv").read_text()
+    assert split and all(text in colors_text for text in split)  # color chunks only
+    assert parsed == []
+    assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
+    assert np.array_equal(loaded.colors, g.colors) and labels == [str(i) for i in range(g.n)]
 
     with open(tmp_path / "e.tsv", "a") as fh:
         fh.write("0\tz\n")
