@@ -25,8 +25,9 @@ Every text file the package writes goes through :func:`write_text`, and
 every table in it through :func:`table`: each field is written as
 ``str(value)`` of a Python value, so a float is its shortest round-trip
 repr, and lines end in ``\\n`` on every platform. A block of rows is one
-``%`` operation over its cells, because a ``str.format`` call per row set
-the edge file's write time.
+``%`` operation over its cells. The generated edge and color files hold
+only node ids and color letters, so they skip the Python values: their
+digits are computed in NumPy, a slice of rows at a time, to the same bytes.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ __all__ = [
     "write_text",
 ]
 
-# edges formatted per slice by write_edge_list: only one slice of the
-# endpoint arrays is ever held as Python ints
+# rows rendered at a time by write_edge_list and write_color_file: only
+# one slice of the rows is ever held as text
 _SLICE = 1 << 16
 
 # characters read at a time by _chunks; one chunk's fields are the only
@@ -72,6 +73,9 @@ _DIGITS = b"0123456789"
 # the id table spans labels below this multiple of the node count, so it
 # costs no more than the label strings
 _TABLE_SPAN = 8
+
+# the byte of each color's letter, indexed by color value
+_COLOR_LETTERS = np.array([ord(Color(v).name) for v in range(len(Color))], dtype=np.uint8)
 
 
 def _drop_comment(line: str) -> str:
@@ -318,33 +322,63 @@ def table(*blocks: Sequence, header: Optional[str] = None, sep: str = ",") -> st
     return "".join(parts)
 
 
-def write_text(path, text: Union[str, Iterable[str]]) -> None:
-    """Write ``text``, one string or an iterable of chunks, to ``path`` with
-    ``\\n`` line endings, or to stdout when ``path`` is None or ``-``."""
+def write_text(path, text: Union[str, Iterable[Union[str, bytes]]]) -> None:
+    """Write ``text``, one string or an iterable of chunks, each a string
+    or ASCII bytes, to ``path`` with ``\\n`` line endings, or to stdout
+    when ``path`` is None or ``-``."""
     chunks = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(c if isinstance(c, str) else c.decode("ascii") for c in chunks)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
+    with open(path, "wb") as fh:
+        fh.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
+
+
+def _ascii_rows(columns: Sequence[np.ndarray], seps: bytes) -> bytes:
+    """The ASCII text of the rows of ``columns``, each field followed by its
+    column's byte of ``seps``. A uint8 column's field is the byte it holds;
+    any other column's is ``str(value)`` of a non-negative integer.
+
+    An integer column fills as many digit places as its largest value has,
+    right to left, by repeated division by 10. A place left of the last
+    nonzero quotient is padding, and one boolean mask over the whole
+    ``(rows, places)`` buffer drops it."""
+    widths = [1 if col.dtype == np.uint8 else len(str(col.max())) for col in columns]
+    buf = np.empty((len(columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(buf.shape, dtype=bool)
+    at = 0
+    for col, width, sep in zip(columns, widths, seps):
+        if col.dtype == np.uint8:
+            buf[:, at] = col
+        else:
+            value = col
+            for place in range(at + width - 1, at, -1):
+                quotient = value // 10
+                buf[:, place] = value - 10 * quotient
+                value = quotient
+                np.not_equal(value, 0, out=keep[:, place - 1])
+            buf[:, at] = value
+            buf[:, at:at + width] += ord("0")
+        at += width
+        buf[:, at] = sep
+        at += 1
+    return buf[keep].tobytes()
 
 
 def write_edge_list(path, g: ColoredDigraph) -> None:
-    """Write ``src<TAB>dst`` lines of dense node ids, formatting ``_SLICE``
-    edges at a time. A loaded graph's labels go to :func:`write_node_mapping`."""
-
-    def slices():
-        for lo in range(0, g.n_edges, _SLICE):
-            yield table((g.src[lo:lo + _SLICE].tolist(), g.dst[lo:lo + _SLICE].tolist()),
-                        sep="\t")
-
-    write_text(path, slices())
+    """Write ``src<TAB>dst`` lines of dense node ids, rendering ``_SLICE``
+    edges at a time in NumPy (see :func:`_ascii_rows`). A loaded graph's
+    labels go to :func:`write_node_mapping`."""
+    write_text(path, (_ascii_rows((g.src[lo:lo + _SLICE], g.dst[lo:lo + _SLICE]), b"\t\n")
+                      for lo in range(0, g.n_edges, _SLICE)))
 
 
 def write_color_file(path, g: ColoredDigraph) -> None:
-    """Write ``node<TAB>R|B`` lines, one per dense node id."""
-    names = [color.name for color in Color]  # indexed by color value
-    write_text(path, table((range(g.n), map(names.__getitem__, g.colors.tolist())), sep="\t"))
+    """Write ``node<TAB>R|B`` lines, one per dense node id, ``_SLICE`` nodes
+    at a time."""
+    write_text(path, (_ascii_rows((np.arange(lo, min(lo + _SLICE, g.n)),
+                                   _COLOR_LETTERS[g.colors[lo:lo + _SLICE]]), b"\t\n")
+                      for lo in range(0, g.n, _SLICE)))
 
 
 def write_node_mapping(path, labels: Sequence[str]) -> None:

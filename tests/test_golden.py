@@ -2,7 +2,8 @@
 
 Each case runs one subcommand at the tiny configuration of acceptance
 criterion 9 (n=60, d=3, seed 11, one process) and hashes every file it
-writes. ``manifest.json`` is hashed after dropping ``wall_clock_sec`` and
+writes. ``generate_wide`` writes an n=1001 graph instead, so its files
+hold node ids of one to four digits. ``manifest.json`` is hashed after dropping ``wall_clock_sec`` and
 reducing the path-valued config entries to their base names, so the pin
 holds across machines and temporary directories. A change that means to
 alter an output updates the pin and says why in CHANGES.md; it never
@@ -26,6 +27,8 @@ def _argv(case, out, edges, colors):
     files = ["--edges", edges, "--colors", colors]
     return {
         "generate": ["generate", "--out-dir", out, "--reps", "2", *SYNTH],
+        "generate_wide": ["generate", "--out-dir", out, "--nodes", "1001", "--outdeg", "3",
+                          "--seed", "11", "--reps", "1", "--threads", "1"],
         "curve": ["curve", "--out-dir", out, "--reps", "3", "--grid-points", "12",
                   "--svg", *ALL_ALGOS, *SYNTH],
         "curve_tie_shuffle": ["curve", "--out-dir", out, "--reps", "3",
@@ -66,6 +69,16 @@ GOLDEN = {
             "b119676c83ec98a35f4310731f99c7ef4b1695f85a221a2fd278c0529e01e250",
         "stats.csv":
             "de56a5a239884b4e9658398a137ce8d5be346d9498a20543cd60c46e3233886f",
+    },
+    "generate_wide": {
+        "colors_0000.tsv":
+            "e68f1ec0f674d877a9a408450b3a106e9d04ccc507d96f25cf8830e311639f71",
+        "edges_0000.tsv":
+            "7fb1d64cd1a4d62a1c811ddee27fdbfc0b25fb652f7de7aa196e691cd6e79d36",
+        "manifest.json":
+            "b6f22aaee13e2431c7031194903100b5349e0ced78915dc1aa4e9ffc5e522e5f",
+        "stats.csv":
+            "99d40b1c33bedee76245693b9a76c94c8d70466e048b9680b726f1b91efe8efc",
     },
     "curve": {
         "curves.csv":

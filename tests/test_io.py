@@ -182,9 +182,10 @@ def test_load_graph_keeps_no_label_table(tmp_path):
 
 
 def test_write_edge_list_holds_one_slice_of_the_endpoints(tmp_path, monkeypatch):
-    # the endpoints become Python ints one slice at a time, so the peak
-    # follows the slice, not the edge count; both lists at once would cost
-    # ~80 bytes per edge. A small slice keeps the traced write quick
+    # the endpoints are rendered to text one slice at a time, so the peak
+    # follows the slice, not the edge count; the digit buffers of every
+    # edge at once would cost ~70 bytes per edge. A small slice keeps the
+    # traced write quick
     monkeypatch.setattr(fairank.io, "_SLICE", 4096)
     rng = np.random.default_rng(5)
     g = from_edge_list(rng.integers(0, 50_000, size=(60_000, 2)),
@@ -198,6 +199,69 @@ def test_write_edge_list_holds_one_slice_of_the_endpoints(tmp_path, monkeypatch)
     expected = "".join(f"{s}\t{d}\n" for s, d in zip(g.src.tolist(), g.dst.tolist()))
     assert (tmp_path / "e.tsv").read_text() == expected
     assert peak / g.n_edges <= 20
+
+
+def test_write_color_file_holds_one_slice_of_the_nodes(tmp_path, monkeypatch):
+    # the ids and color letters are rendered one slice at a time, as the
+    # edges are; the whole table's Python strings at once cost ~70 bytes
+    # per node
+    monkeypatch.setattr(fairank.io, "_SLICE", 4096)
+    rng = np.random.default_rng(5)
+    g = from_edge_list(rng.integers(0, 50_000, size=(60_000, 2)),
+                       rng.integers(0, 2, size=50_000))
+    tracemalloc.start()
+    try:
+        write_color_file(tmp_path / "c.tsv", g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "c.tsv").read_text() == _colors_by_str(g)
+    assert peak / g.n <= 20
+
+
+def _colors_by_str(g):
+    """The text of a color file, one ``str`` call per id."""
+    return "".join(f"{i}\t{Color(c).name}\n" for i, c in enumerate(g.colors.tolist()))
+
+
+def _boundary_graph(n):
+    """A graph on ``n`` nodes whose edges join 0, ``n - 1`` and every id
+    below ``n`` at a digit-width boundary (9, 10, 99, 100, ...), each id
+    as a source and as a target, beside ids of other widths."""
+    ids = sorted({0, n - 1} | {v for k in range(1, 19) for v in (10**k - 1, 10**k) if v < n})
+    edges = list(zip(ids, ids[::-1])) + list(zip(ids, ids[1:]))
+    return from_edge_list(edges, [Color.R if i % 3 else Color.B for i in range(n)])
+
+
+_WRITTEN_GRAPHS = [
+    *(_boundary_graph(n) for n in (1, 2, 10, 11, 1000, 1001)),
+    from_edge_list([(1, 0)], [Color.R, Color.B]),  # one edge
+    from_edge_list([(10, 10)], [Color.B] * 11),  # a self loop
+]
+
+
+@pytest.mark.parametrize("slice_rows", [1, 7, 4096])
+@pytest.mark.parametrize("g", _WRITTEN_GRAPHS,
+                         ids=[f"n{g.n}-m{g.n_edges}" for g in _WRITTEN_GRAPHS])
+def test_writers_give_str_of_each_id(tmp_path, monkeypatch, g, slice_rows):
+    # slices of 1 and 7 rows split the ids of one width across slices
+    monkeypatch.setattr(fairank.io, "_SLICE", slice_rows)
+    write_edge_list(tmp_path / "e.tsv", g)
+    write_color_file(tmp_path / "c.tsv", g)
+    expected = "".join(f"{s}\t{d}\n" for s, d in zip(g.src.tolist(), g.dst.tolist()))
+    assert (tmp_path / "e.tsv").read_bytes() == expected.encode()
+    assert (tmp_path / "c.tsv").read_bytes() == _colors_by_str(g).encode()
+
+
+def test_ascii_rows_gives_str_of_each_value_at_every_width():
+    values = [0, 9, 10, 99, 100, *(10**k + d for k in range(3, 19) for d in (-1, 0)), 2**63 - 1]
+    col = np.array(values, dtype=np.int64)
+    letters = np.frombuffer(b"RB" * len(values), dtype=np.uint8)[:len(values)]
+    expected = "".join(f"{a}\t{b},{chr(c)}\n"
+                       for a, b, c in zip(values, values[::-1], letters.tolist()))
+    assert fairank.io._ascii_rows((col, col[::-1], letters), b"\t,\n") == expected.encode()
+    for value in values:  # a column as wide as its one value
+        assert fairank.io._ascii_rows((np.array([value]),), b"\n") == f"{value}\n".encode()
 
 
 def test_load_graph_empty_inputs(tmp_path):
