@@ -40,13 +40,8 @@ SUBSPACE_WEIGHTS = ("unit", "lambda_sq")
 # numerically non-simple (ranking then depends on iteration details).
 _DEGENERATE_GAP = 1e-8
 
-# angle below which a subspace pinned only by a degenerate eigengap is
-# accepted as settled (tighter precision is unattainable there)
-_STALL_ANGLE_TOL = 1e-8
-
-# a Krylov start of _ritz_topk stops after this many products with A^T A per
-# row of the sweep block, the work of as many sweeps: a one-row start gives
-# up, and a block start hands its rows to the sweeps
+# a one-row Krylov start of _ritz_topk gives up after this many products
+# with A^T A per row of a block of k + 2 (a block run is capped by max_iter)
 _KRYLOV_SWEEPS = 20
 
 # a Krylov start that only has to agree with an earlier one compares their
@@ -64,15 +59,15 @@ class IterationControl:
     For PageRank, randomized HITS and HITS on a tied top eigenvalue, one
     iteration is one evaluation of the update map F (``_fixed_point``) and
     ``tol`` bounds the L1 norm of F(x) - x at the last point evaluated. For
-    the Ritz solver of HITS and subspace HITS one iteration is one block
-    sweep, one product with A^T A per row of the block. Every solve begins
-    with an uncounted Krylov start of two one-row runs, the second stopped
-    once it agrees with the first (see ``_krylov_start`` and
-    ``_ritz_topk``); the first settles its Ritz pairs to residual norms of
-    at most ``tol`` times the top Ritz value. When they agree and those
-    pairs resolve every boundary read, they are the solve and no sweep
-    runs; otherwise ``tol`` bounds the sine of the largest angle between
-    successive leading subspaces. ``max_iter`` caps the iterations.
+    the Ritz solver of HITS and subspace HITS ``tol`` bounds the largest
+    residual norm of the leading k + 1 Ritz pairs over the top Ritz value,
+    and one iteration is one product with A^T A of a block Krylov run (see
+    ``_krylov_start`` and ``_ritz_topk``). Every solve begins with two
+    uncounted one-row Krylov runs, the second stopped once it agrees with
+    the first. When they agree and the first's Ritz pairs resolve every
+    boundary read, they are the solve, of 0 iterations; otherwise the
+    block run is. ``max_iter`` caps the iterations; a block run always
+    fills its basis once, so it may take more.
     """
 
     tol: float = 1e-10
@@ -142,11 +137,11 @@ class RankingResult:
     ``order`` is a permutation of node ids, best first: score descending,
     node id ascending on ties. ``residual`` is what ``IterationControl.tol``
     bounds: the last change (0 for direct methods, inf when none was
-    measured), or for a Ritz solve that ran no sweep the Krylov
-    recurrence's estimate ``||t[m:, :m] @ y|| / theta_1`` of the largest
-    residual norm of its settled Ritz pairs over the top Ritz value. That
-    estimate can read below the rounding floor: 6e-18 where the rows
-    measure 1e-15. ``degenerate`` flags rankings that sit on a
+    measured), or for a Ritz solve the Krylov recurrence's estimate
+    ``||t[m:, :m] @ y|| / theta_1`` of the largest residual norm of its
+    leading Ritz pairs over the top Ritz value. That estimate can read
+    below the rounding floor: 6e-18 where the rows measure 1e-15.
+    ``degenerate`` flags rankings that sit on a
     (numerically) non-simple leading eigenvalue or a rank-deficient
     subspace, where the order is not robust.
     """
@@ -255,8 +250,7 @@ def hits(
     eigenvector of A^T A (hubs: of A A^T). On a simple top eigenvalue that
     is the top Ritz vector, signed to agree with the indegrees, read from
     ``spectrum`` (a :class:`Spectrum` of ``g`` that holds k = 1) or from a
-    solve of its own at k = 1; an iteration is then a sweep of that solve,
-    and a solve whose Krylov start is the solve runs none.
+    solve of its own at k = 1, whose iterations it reports.
     On a tied one only the all-ones start picks the limit, so the
     reinforcement loop runs, and its limit is signed the same way.
     Authorities below ``ctrl.tol`` times the largest are below what either
@@ -375,42 +369,51 @@ def randomized_hits(
     return auth, hub
 
 
-class _SettledRows(np.ndarray):
-    """The k leading Ritz rows of a settled one-row Krylov run: a (k, n)
-    array to every caller, which also carries the run's leading k + 2 Ritz
-    values ``theta`` and the residual norms ``resid`` of its k + 1 settled
-    pairs, so a solve can read the boundaries without another product."""
+class _RitzRows(np.ndarray):
+    """The leading Ritz rows of a Krylov run: a (rows, n) array to every
+    caller, which also carries the run's leading k + 2 Ritz values
+    ``theta``, the residual norms ``resid`` of its leading k + 1 Ritz pairs
+    and the ``products`` with A^T A it took, so a solve can read its
+    boundaries without another product."""
 
-    def __new__(cls, rows, theta, resid):
+    def __new__(cls, rows, theta, resid, products):
         self = rows.view(cls)
-        self.theta, self.resid = theta, resid
+        self.theta, self.resid, self.products = theta, resid, products
         return self
 
 
 def _krylov_start(
-    g: ColoredDigraph, k: int, tol: float, rng, s: int = 1, agree: Optional[np.ndarray] = None
+    g: ColoredDigraph,
+    k: int,
+    tol: float,
+    rng,
+    s: int = 1,
+    agree: Optional[np.ndarray] = None,
+    cap: Optional[int] = None,
 ) -> Optional[np.ndarray]:
     """Leading Ritz rows of A^T A from a Krylov–Schur run with blocks of s rows, or None.
 
     Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + s rows,
-    m = max(20, 2b + 4) for a sweep block of b = k + 2, so a restart has
-    room to grow at any k, with two-pass full reorthogonalization. The
-    first s rows are A^T A times normal draws of ``rng``, so the basis
-    starts in the range of A^T A. Row j + s is A^T A times row j, the band
-    form of block Lanczos (Ruhe 1979; Zhou & Saad, Numer. Algorithms 47,
-    2008), so the basis holds s directions of every eigenspace. A restart
-    keeps the leading p = k + 4 Ritz rows and the s residual rows. The run
-    settles when each of the leading k + 1 Ritz pairs has a residual norm
-    of at most ``tol`` theta_1, and returns its leading max(k, s) Ritz
-    rows; a settled one-row run returns them as ``_SettledRows``, with its
-    Ritz values and those residual norms. It is skipped when n <= m + s.
+    m = max(20, 2b + 4) for b = k + 2, so a restart has room to grow at any
+    k, with two-pass full reorthogonalization. The first s rows are A^T A
+    times normal draws of ``rng``, each projected off those before it, so
+    the basis starts in the range of A^T A. Row j + s is A^T A times row j,
+    the band form of block Lanczos (Ruhe 1979; Zhou & Saad, Numer.
+    Algorithms 47, 2008), so the basis holds s directions of every
+    eigenspace. A restart keeps the leading p = k + 4 Ritz rows and the s
+    residual rows. The run settles when each of the leading k + 1 Ritz
+    pairs has a residual norm of at most ``tol`` theta_1. It returns its
+    leading max(k, s) Ritz rows as ``_RitzRows``, and stops before a
+    restart that would take it past ``cap`` products (default
+    _KRYLOV_SWEEPS b), so it takes at most max(``cap``, m + s). It is
+    skipped when n <= m + s.
 
-    A breakdown (a product whose new part is below 1e-12 theta_1, so the
-    basis spans an invariant subspace) and a restart that would pass
-    _KRYLOV_SWEEPS b products end a one-row run with None: one row holds
-    one direction of a tied eigenspace. A block run instead refills the
-    row with a normal draw projected off the basis, and at the product cap
-    returns its rows unsettled.
+    A row whose new part is below 1e-12 of the largest product so far, or
+    of its own product for a first row (the basis spans an invariant
+    subspace), ends a one-row run with None, as does its cap: one row holds
+    one direction of a tied eigenspace. A block run instead refills the row
+    with a normal draw projected off the rows before it (``_refill``), and
+    at its cap returns its rows unsettled.
 
     A one-row run given the k leading rows ``agree`` of an earlier one
     keeps their overlaps with its basis, ``agree @ basis[j]``, one small
@@ -423,14 +426,17 @@ def _krylov_start(
     m, p = max(20, 2 * k + 8), k + 4
     if g.n <= m + s:
         return None
+    cap = _KRYLOV_SWEEPS * (k + 2) if cap is None else cap
     basis = np.empty((m + s, g.n))
     t = np.zeros((m + s, m + s))
     for i in range(s):
-        basis[i] = _backward(g, _forward(g, rng.standard_normal(g.n)))
-    if s == 1:
-        _unit(basis[0])
-    else:
-        basis[:s] = _orthonormal_rows(basis[:s])
+        w = basis[i]
+        w[:] = _backward(g, _forward(g, rng.standard_normal(g.n)))
+        size = float(np.sqrt(w @ w))
+        _project_off(w, basis[:i])
+        if np.sqrt(w @ w) <= 1e-12 * size:
+            _refill(w, basis[:i], rng)
+        _unit(w)
     if agree is not None:
         overlap = np.empty((k, m + 1))
         overlap[:, 0] = agree @ basis[0]
@@ -446,9 +452,8 @@ def _krylov_start(
                 w /= beta
             elif s == 1:
                 return None
-            else:  # the product lies in the basis: refill the row
-                w[:] = rng.standard_normal(g.n)
-                _project_off(w, done)
+            else:
+                _refill(w, done, rng)
                 _unit(w)
                 beta = 0.0
             t[j + s, j] = beta
@@ -464,10 +469,11 @@ def _krylov_start(
         theta, y = theta[::-1], y[:, ::-1]
         resid = np.linalg.norm(t[m:, :m] @ y[:, : k + 1], axis=0)
         settled = bool(np.all(resid <= tol * theta[0]))
-        if settled and s == 1:
-            return _SettledRows(y[:, :k].T @ basis[:m], np.maximum(theta[: k + 2], 0.0), resid)
-        if settled or products + m - p > _KRYLOV_SWEEPS * (k + 2):
-            return y[:, : max(k, s)].T @ basis[:m] if s > 1 else None
+        if settled or products + m - p > cap:
+            if not settled and s == 1:
+                return None
+            rows = y[:, : max(k, s)].T @ basis[:m]
+            return _RitzRows(rows, np.maximum(theta[: k + 2], 0.0), resid, products)
         basis[:p] = y[:, :p].T @ basis[:m]
         basis[p : p + s] = basis[m:]
         if agree is not None:
@@ -504,27 +510,6 @@ def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return h + again
 
 
-def _orthonormal_rows(z: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the row space of the (b, n) block ``z``.
-
-    Cholesky-QR2: two passes of ``q = inv(L) @ q`` with ``L L^T = q q^T``;
-    the second restores the orthogonality the first loses to the Gram's
-    squared condition number. One b x b inverse and a matrix product beat a
-    triangular solve with n right-hand sides. Householder QR is used instead
-    on a block that is not numerically full rank: Cholesky fails, or the
-    first pass leaves a Gram (a non-finite one included) more than 1/2 from
-    the identity in Frobenius norm, which also keeps the result finite.
-    """
-    try:
-        q = np.linalg.inv(np.linalg.cholesky(z @ z.T)) @ z
-        gram = q @ q.T
-        if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
-            return np.linalg.inv(np.linalg.cholesky(gram)) @ q
-    except np.linalg.LinAlgError:
-        pass
-    return np.ascontiguousarray(np.linalg.qr(z.T)[0].T)
-
-
 def _sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
     """Sine of the largest principal angle between two orthonormal row blocks.
 
@@ -556,145 +541,98 @@ def _gap_resolved(theta: np.ndarray, k: int, resid: float, tol: float) -> bool:
     return not _tied(theta, k) and bool(gap > _tie_tol(theta) + resid or resid < tol * theta[0])
 
 
-def _boundary(k, theta, rot, z, ritz, prev, angle_tol):
-    """The stop test of ``_ritz_topk`` at the boundary between theta_k and theta_{k+1}.
+def _refill(w: np.ndarray, done: np.ndarray, rng) -> None:
+    """Overwrites ``w`` with a normal draw of ``rng`` projected off the
+    orthonormal rows ``done``: the row of a block Krylov run whose product
+    lies in the span of the basis."""
+    w[:] = rng.standard_normal(len(w))
+    _project_off(w, done)
 
-    The largest principal angle (measured by its sine, from a k x k Gram)
-    between successive leading-k subspaces must drop below ``angle_tol``
-    with the gap theta_k - theta_{k+1} resolved (``_gap_resolved``): it
-    exceeds the tie tolerance plus the residual norm r of the (k+1)-th Ritz
-    pair, or r is below ``angle_tol * theta_1``. A one-row Krylov start
-    settles the leading k rows before the block's normal rows reach the
-    next eigenvector, so without the residual test theta_{k+1} could still
-    sit below an eigenvalue tied with theta_k and the tie would go
-    unflagged. On a tied boundary the gap check flags the tie, and the
-    stall rule passes it once the leading-k subspace, or the span of the
-    rows down to the last one tied with theta_k, moves by less than
-    max(``angle_tol``, 1e-8).
 
-    Returns (angle, tied, settled): the angle (inf without a previous
-    sweep), whether theta_k and theta_{k+1} tie, and whether the boundary
-    passes.
+def _dense_eigenpairs(g: ColoredDigraph, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The b leading eigenvalues of the dense n x n A^T A, descending and
+    clipped at 0, and its eigenvectors as rows.
+
+    Nodes with identical columns of A, in-neighbour twins, form classes.
+    With Q the n x c class indicator scaled to unit columns, A^T A =
+    Q (Q^T A^T A Q) Q^T, so each eigenvector u of the c x c middle matrix
+    gives the eigenvector Q u of A^T A, whose entries are equal, bit for
+    bit, across a class. The contrasts within classes span the rest, where
+    A^T A is zero: an orthonormal basis of them fills any rows past c.
     """
-    tied = _tied(theta, k)
-    if prev is None:
-        return np.inf, tied, False
-    angle = _sin_largest_angle(ritz[:k], prev[:k])
-    if tied:
-        # the leading-k subspace is only defined up to rotations across the
-        # gap, so further sweeps cannot sharpen it. Once a tied cluster is
-        # exact, eigh rotates freely within it and only the span down to its
-        # last row in the block still settles. A cluster at zero has no such
-        # span, as A^T A maps its rows to rounding noise: there the rows
-        # above it are the span that settles
-        settle_tol = max(angle_tol, _STALL_ANGLE_TOL)
-        tie_tol = _tie_tol(theta)
-        if theta[k - 1] > tie_tol:
-            m = int(np.count_nonzero(theta >= theta[k - 1] - tie_tol))
-        else:
-            m = int(np.count_nonzero(theta > tie_tol))
-        settled = angle < settle_tol or _sin_largest_angle(ritz[:m], prev[:m]) < settle_tol
-    elif angle < angle_tol:
-        settled = k == len(theta) or _gap_resolved(
-            theta, k, np.linalg.norm(rot[k] @ z - theta[k] * ritz[k]), angle_tol
-        )
-    else:
-        settled = False
-    return angle, tied, settled
+    a = np.zeros((g.n, g.n))
+    np.add.at(a, (g.src, g.dst), 1.0)
+    _, first, cls, size = np.unique(
+        a, axis=1, return_index=True, return_inverse=True, return_counts=True
+    )
+    cls, scale = cls.reshape(-1), np.sqrt(size)
+    a_q = a[:, first] * scale
+    theta, u = np.linalg.eigh(a_q.T @ a_q)
+    rows = u[cls, ::-1].T / scale[cls]
+    if b > len(size):
+        q = np.zeros((g.n, len(size)))
+        q[np.arange(g.n), cls] = 1.0 / scale[cls]
+        rows = np.vstack((rows, np.linalg.qr(q, mode="complete")[0][:, len(size) :].T))
+        theta = np.pad(theta, (b - len(size), 0))
+    return np.maximum(theta[: -b - 1 : -1], 0.0), np.ascontiguousarray(rows[:b])
 
 
-def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, angle_tol: float, lower: tuple = ()):
-    """Leading Ritz pairs of A^T A from a Krylov start, swept only when it is not the solve.
+def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tuple = ()):
+    """Leading Ritz pairs of A^T A from a Krylov–Schur run (``_krylov_start``).
 
-    Two uncounted one-row Krylov runs (``_krylov_start``) from independent
-    draws start every solve. A one-row Krylov space holds one direction of
-    a tied eigenspace, so on a tie at or above theta_k the two leading-k
-    subspaces part at a random angle: they must agree within
-    sqrt(``angle_tol``). Only that verdict is kept, so the second run stops
-    as soon as its leading rows come within half that angle of the first's;
-    one that parts runs to its own stop. A one-row run draws only before
-    its first product, so the early stop moves no later draw.
+    Two uncounted one-row runs from independent draws start every solve. A
+    one-row Krylov space holds one direction of a tied eigenspace, so on a
+    tie at or above theta_k the two leading-k subspaces part at a random
+    angle: they must agree within sqrt(``tol``). Only that verdict is kept,
+    so the second run stops as soon as its leading rows come within half
+    that angle of the first's; one that parts runs to its own stop. A
+    one-row run draws only before its first product, so the early stop
+    moves no later draw.
 
     When they agree, the first run has settled its leading k + 1 Ritz pairs
-    to residual norms r_j of at most ``angle_tol`` theta_1. Its Ritz pairs
-    are the solve, a warm solve with no sweep, when its theta passes the
-    gap rule of ``_boundary`` (``_gap_resolved``) at k and at each size in
-    ``lower``: each row then lies within r_j over the gap of its
-    eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970). A warm solve
-    returns b = min(k + 2, n) Ritz values, the k rows, 0 sweeps, converged,
-    the largest r_j / theta_1 as its residual, and no tie.
+    to residual norms r_j of at most ``tol`` theta_1. Its Ritz pairs are the
+    solve, a warm solve of 0 iterations, when its theta is untied at k and
+    at each size in ``lower`` (each below k), with each gap clear of the
+    next pair's residual (``_gap_resolved``): each row then lies within r_j
+    over the gap of its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7,
+    1970).
 
-    Otherwise block subspace iteration runs on b orthonormal rows in a
-    (b, n) array, so every matvec reads a contiguous row. It starts from
-    the first run's k rows and b - k normal rows when the runs agree but
-    its theta ties at a boundary that is read. When they part, or a run
-    breaks down or stops at its cap, a Krylov start with blocks of b rows
-    gives all b rows instead; it holds b directions of every eigenspace, as
-    the block does, so ties stay in view. A graph too small for that basis
-    starts from the leading eigenvectors of its dense n x n A^T A. All
-    draws come from a fixed internal seed.
+    Otherwise, a cold solve, one Krylov run with blocks of b = k + 2 rows
+    is the solve. It holds b directions of every eigenspace, so ties stay
+    in view; it runs to the same residual test, capped at ``max_iter``
+    products, and each of its products is an iteration. A graph too small
+    for its basis takes the b = min(k + 2, n) leading eigenpairs of its
+    dense A^T A (``_dense_eigenpairs``), whose rows give in-neighbour twins
+    bitwise-equal entries, with 0 iterations. All draws come from a fixed
+    internal seed.
 
-    Every sweep is plain: it multiplies the block by A^T A once, one product
-    per row, takes the Ritz pairs, and the next block is ``orth(A^T A q)``
-    by Cholesky-QR2, falling back to Householder QR on a rank-deficient
-    block (``_orthonormal_rows``). So every block after the first lies in
-    the range of A^T A, nodes with identical in-neighbour columns keep
-    bitwise-equal entries, and the stall rule sees plain sweeps.
-
-    The subspace sizes in ``lower`` (each below k) are read from the same
-    solve, so iteration stops only when the stop test (``_boundary``)
-    passes at k and at each of them. Returns (theta, U, sweeps, converged,
-    residual, tied): eigenvalues descending, the Ritz vectors as rows of U,
-    the residual (a warm solve's relative Ritz residual, else the last
-    angle of the sweeps, inf after one sweep) and the tie verdict at k.
+    Returns (theta, U, iterations, converged, residual, tied): the leading
+    min(k + 2, n) Ritz values descending, the Ritz vectors as rows of U, the
+    largest residual norm of the k + 1 leading pairs over theta_1 (0 for
+    the dense eigenpairs), whether it is at most ``tol``, and whether
+    theta_k and theta_{k+1} tie (never for a warm solve).
     """
-    n = g.n
-    b = min(k + 2, n)
-    bounds = sorted({*lower, k})
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
-    start = _krylov_start(g, k, angle_tol, rng)
-    if start is not None:
-        second = _krylov_start(g, k, angle_tol, rng, 1, start)
-        if second is None or _sin_largest_angle(start, second) > np.sqrt(angle_tol):
-            start = None
-        elif all(_gap_resolved(start.theta, j, start.resid[j], angle_tol) for j in bounds):
-            residual = float(start.resid.max() / start.theta[0])
-            return start.theta, np.asarray(start), 0, True, residual, False
-        del second
-    if start is None:
-        start = _krylov_start(g, k, angle_tol, rng, b)
-    if start is None:  # too small for the block's basis: the dense eigenvectors
-        a = np.zeros((n, n))
-        np.add.at(a, (g.src, g.dst), 1.0)
-        start = np.linalg.eigh(a.T @ a)[1][:, : -b - 1 : -1].T
-    q = _orthonormal_rows(np.vstack((start, rng.standard_normal((b - len(start), n)))))
-    del start
-    theta = np.zeros(b)
-    ritz = q
-    prev = None
-    angle = np.inf
-    converged = tied = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        z = np.empty_like(q)
-        for i, row in enumerate(q):
-            z[i] = _backward(g, _forward(g, row))
-        t_small = q @ z.T
-        t_small = 0.5 * (t_small + t_small.T)
-        w, vecs = np.linalg.eigh(t_small)
-        desc = np.argsort(w)[::-1]
-        theta = np.maximum(w[desc], 0.0)
-        rot = vecs[:, desc].T
-        ritz = rot @ q
-        del q  # the next block comes from z alone
-        checks = [_boundary(j, theta, rot, z, ritz, prev, angle_tol) for j in bounds]
-        angle, tied, _ = checks[-1]
-        if all(settled for _, _, settled in checks):
-            converged = True
-            break
-        prev = ritz
-        q = _orthonormal_rows(z)
-    return theta, ritz, it, converged, angle, tied
+    start = _krylov_start(g, k, tol, rng)
+    second = start if start is None else _krylov_start(g, k, tol, rng, 1, start)
+    warm = (second is not None and _sin_largest_angle(start, second) <= np.sqrt(tol)
+            and all(_gap_resolved(start.theta, j, start.resid[j], tol) for j in {*lower, k}))
+    del second
+    if not warm:
+        del start
+        start = _krylov_start(g, k, tol, rng, k + 2, None, max_iter)
+    if start is None:  # too small for the block's basis
+        theta, rows = _dense_eigenpairs(g, min(k + 2, g.n))
+        return theta, rows, 0, True, 0.0, _tied(theta, k)
+    theta, resid = start.theta, start.resid
+    return (
+        theta,
+        np.asarray(start),
+        0 if warm else start.products,  # the one-row runs go uncounted
+        bool(np.all(resid <= tol * theta[0])),
+        float(resid.max() / theta[0]),
+        _tied(theta, k),
+    )
 
 
 class Spectrum:
@@ -702,12 +640,11 @@ class Spectrum:
 
     ``ks`` holds every subspace size that will be read: HITS reads 1 and
     subspace HITS its ``k``. The one ``_ritz_topk`` solve runs at the
-    largest and applies its tests at every boundary in ``ks``: the Krylov
-    start is the solve only when it resolves them all, and the sweeps stop
-    only when each passes, so each reader gets a tie verdict resolved at
-    its own k. Readers share its
-    arrays, which are read-only. Hold one per graph and drop it with the
-    graph; nothing else caches a solve.
+    largest: a one-row Krylov start is the solve only when it resolves
+    every boundary in ``ks``, and a block run settles all the leading
+    Ritz pairs, so each reader takes a tie verdict from theta at its own k.
+    Readers share its arrays, which are read-only. Hold one per graph and
+    drop it with the graph; nothing else caches a solve.
     """
 
     def __init__(self, g: ColoredDigraph, ks, ctrl: IterationControl = _DEFAULT_CTRL):

@@ -1,5 +1,5 @@
-"""Shared fixtures: cached generator batches reused across test modules, and
-a spy on the rankers' solvers."""
+"""Shared fixtures: cached generator batches reused across test modules, a
+spy on the rankers' solvers, and a switch that makes every Ritz solve cold."""
 
 from collections import defaultdict
 from dataclasses import dataclass
@@ -60,3 +60,16 @@ def solver_calls(monkeypatch):
             return calls[_name][-1]
         monkeypatch.setattr(rankers, name, spy)
     return calls
+
+
+@pytest.fixture
+def forced_cold(monkeypatch):
+    """Every one-row Krylov start gives up, so each Ritz solve is cold: the
+    block Krylov run is the solve. Any later argument, the product cap
+    among them, passes through by position."""
+    krylov = rankers._krylov_start
+
+    def start(g, k, tol, rng, s=1, *rest):
+        return krylov(g, k, tol, rng, s, *rest) if s > 1 else None
+
+    monkeypatch.setattr(rankers, "_krylov_start", start)
