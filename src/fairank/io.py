@@ -7,9 +7,9 @@ that runs to the end of the line; a ``#`` inside a label is kept. Node
 labels may be arbitrary strings; they are remapped to dense ids in
 color-file order and the mapping can be written back out.
 
-Each input file is read forward once, in chunks of whole lines, so it may
-be a pipe; a UTF-8 byte-order mark at its start is dropped, and a byte
-that is not UTF-8 is an error that names its line. Each edge chunk
+Each input file is read forward once as bytes, in chunks of whole lines,
+so it may be a pipe. As in text mode, a UTF-8 byte-order mark at its start
+is dropped, and ``\\r\\n`` and a lone ``\\r`` end a line. Each edge chunk
 takes the first of three paths that fits it. (1) When every color label
 is a canonical decimal (digits, no leading zero other than in ``0``)
 below 8 times the node count, a chunk whose every label is such a
@@ -18,8 +18,9 @@ indexed by label value; ``01`` is not canonical, so it and ``1`` stay two
 labels. (2) A chunk whose every line is two plain ASCII labels and one tab
 is split and mapped in bulk through a dict. (3) Every other chunk, and
 one of the others that holds a fault, goes through the line parser, the
-one place that skips comments and blank lines and raises parse errors,
-so every path gives the same records and errors.
+one place that decodes text, skips comments and blank lines and raises
+parse errors, so every path gives the same records and errors. A byte
+that is not UTF-8 is one of those errors, and names its line.
 
 Every text file the package writes goes through :func:`write_text`, and
 every table in it through :func:`table`: each field is written as
@@ -56,7 +57,7 @@ __all__ = [
 # one slice of the rows is ever held as text
 _SLICE = 1 << 16
 
-# characters read at a time by _chunks; one chunk's fields are the only
+# bytes read at a time by _chunks; one chunk's fields are the only
 # per-record strings alive at once
 _CHUNK = 1 << 16
 
@@ -87,42 +88,30 @@ def _drop_comment(line: str) -> str:
     return line
 
 
-def _chunks(path) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, text)``: the file in pieces of whole lines, about
-    ``_CHUNK`` characters each, with the number of each piece's first line.
-    The file is read forward once, so it may be a pipe. A UTF-8 byte-order
-    mark at its start is dropped, and a byte that is not UTF-8 is an error
-    (see ``_utf8``)."""
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        lineno, carry = 1, ""
+def _chunks(path) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(lineno, data)``: the file's bytes in pieces of whole lines,
+    about ``_CHUNK`` bytes each, with the number of each piece's first
+    line. The file is read forward once, so it may be a pipe. As in text
+    mode, a UTF-8 byte-order mark at its start is dropped, and each
+    ``\\r\\n`` and each lone ``\\r`` is yielded as the line end ``\\n``."""
+    with open(path, "rb") as fh:
+        lineno, carry = 1, fh.read(3).removeprefix(b"\xef\xbb\xbf")
         while block := fh.read(_CHUNK):
-            cut = block.rfind("\n") + 1
-            if not cut:  # no line ends in this block
-                carry += block
-                continue
-            text, carry = carry + block[:cut], block[cut:]
-            yield from _utf8(path, lineno, text)
-            lineno += text.count("\n")
+            data = carry + block
+            held = data.endswith(b"\r")  # maybe the first half of \r\n
+            data = _lf(data[: len(data) - held])
+            cut = data.rfind(b"\n") + 1
+            carry = data[cut:] + b"\r" * held
+            if cut:
+                yield lineno, data[:cut]
+                lineno += data.count(b"\n", 0, cut)
         if carry:
-            yield from _utf8(path, lineno, carry)
+            yield lineno, _lf(carry)
 
 
-def _utf8(path, lineno: int, text: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(lineno, text)`` if ``text``, whose first line is line
-    ``lineno`` of ``path``, decoded without error. Otherwise yield the
-    lines before its first bad byte, so their faults come first, and raise
-    a GraphError naming that byte's line. The decoder escapes each bad byte
-    to a lone surrogate, which UTF-8 cannot encode."""
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            head = text[: text.rfind("\n", 0, exc.start) + 1]
-            if head:
-                yield lineno, head
-            lineno += head.count("\n")
-            raise GraphError(f"{path}:{lineno}: not UTF-8") from None
-    yield lineno, text
+def _lf(data: bytes) -> bytes:
+    """``data`` with each ``\\r\\n`` and each lone ``\\r`` turned into ``\\n``."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _records_of(seps: bytes) -> Optional[int]:
@@ -135,21 +124,19 @@ def _records_of(seps: bytes) -> Optional[int]:
     return lines + unterminated
 
 
-def _plain_fields(text: str) -> Optional[list[str]]:
-    """``text.split()`` if that is exactly the fields the line parser
-    yields, in the same order, else None.
+def _plain_fields(data: bytes) -> Optional[list[str]]:
+    """The fields of ``data`` split at whitespace, if they are exactly the
+    fields the line parser yields, in the same order, else None.
 
     That holds when every line is ``label<TAB>label``, both labels non-empty
     printable ASCII without space or ``#``: deleting the label bytes then
     leaves tab and newline alternating, starting with a tab, and the fields
     number two per tab. A blank line, a comment or any other byte sends the
     chunk to the line parser."""
-    if not text.isascii():
-        return None
-    records = _records_of(text.encode("ascii").translate(None, _LABEL_BYTES))
+    records = _records_of(data.translate(None, _LABEL_BYTES))
     if records is None:
         return None
-    fields = text.split()
+    fields = data.decode("ascii").split()
     return fields if len(fields) == 2 * records else None
 
 
@@ -190,15 +177,12 @@ def _id_table(labels: list[str]) -> Optional[np.ndarray]:
     return table
 
 
-def _decimal_ids(text: str, table: np.ndarray) -> Optional[np.ndarray]:
+def _decimal_ids(data: bytes, table: np.ndarray) -> Optional[np.ndarray]:
     """The flat ``src, dst`` ids of a chunk whose every line is
     ``label<TAB>label``, both labels canonical decimals with an entry in
     ``table`` (see :func:`_id_table`), else None. A label that fails, such
     as ``01`` or ``+1`` beside ``1``, may name another node or none, so its
     chunk goes to the paths that map the label string."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
     records = _records_of(data.translate(None, _DIGITS))
     if not records:
         return None
@@ -209,11 +193,19 @@ def _decimal_ids(text: str, table: np.ndarray) -> Optional[np.ndarray]:
     return ids if ids.min() >= 0 else None
 
 
-def _records(path, form: str, lineno: int, text: str) -> Iterator[tuple[int, str, str]]:
+def _records(path, form: str, lineno: int, data: bytes) -> Iterator[tuple[int, str, str]]:
     """The line parser: yield ``(lineno, left, right)`` per record of
-    ``text``, whose first line is line ``lineno`` of ``path``, skipping
+    ``data``, whose first line is line ``lineno`` of ``path``, skipping
     blanks and comments; ``form`` names the two fields in the error for a
-    line without them."""
+    line without them. A byte that is not UTF-8 is an error that names its
+    line, raised after the lines before it are parsed."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: data.rfind(b"\n", 0, exc.start) + 1]
+        yield from _records(path, form, lineno, head)
+        lineno += head.count(b"\n")
+        raise GraphError(f"{path}:{lineno}: not UTF-8") from None
     for lineno, line in enumerate(text.split("\n"), start=lineno):
         if "#" in line:
             line = _drop_comment(line)
@@ -243,11 +235,11 @@ def _add_plain_colors(colors: dict[str, Color], fields: list[str]) -> bool:
 def read_color_file(path) -> dict[str, Color]:
     """Parse ``node<TAB>color`` lines; duplicate nodes are an error."""
     colors: dict[str, Color] = {}
-    for first, text in _chunks(path):
-        fields = _plain_fields(text)
+    for first, data in _chunks(path):
+        fields = _plain_fields(data)
         if fields and _add_plain_colors(colors, fields):
             continue
-        for lineno, label, color in _records(path, "node<TAB>color", first, text):
+        for lineno, label, color in _records(path, "node<TAB>color", first, data):
             if label in colors:
                 raise GraphError(f"{path}:{lineno}: duplicate color for node {label!r}")
             try:
@@ -272,13 +264,13 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     index = None  # label -> id, built for the first chunk the table cannot map
 
     parts = []  # one int64 array of flat src, dst ids per chunk
-    for first, text in _chunks(edge_path):
-        if table is not None and (decimal := _decimal_ids(text, table)) is not None:
+    for first, data in _chunks(edge_path):
+        if table is not None and (decimal := _decimal_ids(data, table)) is not None:
             parts.append(decimal)
             continue
         if index is None:
             index = {label: i for i, label in enumerate(labels)}
-        fields = _plain_fields(text)
+        fields = _plain_fields(data)
         if fields:
             try:
                 parts.append(np.array(itemgetter(*fields)(index), dtype=np.int64))
@@ -286,7 +278,7 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
             except KeyError:
                 pass  # the line parser names the line
         ids = []
-        for lineno, src, dst in _records(edge_path, "src<TAB>dst", first, text):
+        for lineno, src, dst in _records(edge_path, "src<TAB>dst", first, data):
             try:
                 ids += index[src], index[dst]
             except KeyError as exc:

@@ -533,14 +533,6 @@ def _tied(theta: np.ndarray, k: int) -> bool:
     return k < len(theta) and bool(theta[k - 1] - theta[k] <= _tie_tol(theta))
 
 
-def _gap_resolved(theta: np.ndarray, k: int, resid: float, tol: float) -> bool:
-    """Whether theta_k and theta_{k+1} are untied and told apart by a
-    (k+1)-th Ritz pair of residual norm ``resid``: the gap exceeds the tie
-    tolerance plus ``resid``, or ``resid`` is below ``tol`` theta_1."""
-    gap = theta[k - 1] - theta[k]
-    return not _tied(theta, k) and bool(gap > _tie_tol(theta) + resid or resid < tol * theta[0])
-
-
 def _refill(w: np.ndarray, done: np.ndarray, rng) -> None:
     """Overwrites ``w`` with a normal draw of ``rng`` projected off the
     orthonormal rows ``done``: the row of a block Krylov run whose product
@@ -590,10 +582,10 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
     moves no later draw.
 
     When they agree, the first run has settled its leading k + 1 Ritz pairs
-    to residual norms r_j of at most ``tol`` theta_1. Its Ritz pairs are the
-    solve, a warm solve of 0 iterations, when its theta is untied at k and
-    at each size in ``lower`` (each below k), with each gap clear of the
-    next pair's residual (``_gap_resolved``): each row then lies within r_j
+    to residual norms r_j of at most ``tol`` theta_1, as a one-row run
+    returns rows only once settled. Its Ritz pairs are the solve, a warm
+    solve of 0 iterations, when its theta is untied (``_tied``) at k and at
+    each size in ``lower`` (each below k): each row then lies within r_j
     over the gap of its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7,
     1970).
 
@@ -616,7 +608,7 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
     start = _krylov_start(g, k, tol, rng)
     second = start if start is None else _krylov_start(g, k, tol, rng, 1, start)
     warm = (second is not None and _sin_largest_angle(start, second) <= np.sqrt(tol)
-            and all(_gap_resolved(start.theta, j, start.resid[j], tol) for j in {*lower, k}))
+            and not any(_tied(start.theta, j) for j in {*lower, k}))
     del second
     if not warm:
         del start

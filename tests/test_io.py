@@ -274,14 +274,16 @@ def test_load_graph_empty_inputs(tmp_path):
         load_graph(tmp_path / "e.tsv", tmp_path / "c0.tsv")
 
 
-def test_a_byte_order_mark_is_not_part_of_a_label(tmp_path):
-    (tmp_path / "e.tsv").write_text("0\t1\n1\t0\n", encoding="utf-8")
-    (tmp_path / "c.tsv").write_text("0\tR\n1\tB\n", encoding="utf-8-sig")
-    g, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
-    assert labels == ["0", "1"] and g.src.tolist() == [0, 1]
-    (tmp_path / "e.tsv").write_text("0\t1\n1\t0\n", encoding="utf-8-sig")
-    _, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
-    assert labels == ["0", "1"]
+def test_a_byte_order_mark_is_not_part_of_a_label(tmp_path, monkeypatch):
+    for chunk in (1, 2, 7, 1 << 16):  # the mark may span reads
+        monkeypatch.setattr(fairank.io, "_CHUNK", chunk)
+        (tmp_path / "e.tsv").write_text("0\t1\n1\t0\n", encoding="utf-8")
+        (tmp_path / "c.tsv").write_text("0\tR\n1\tB\n", encoding="utf-8-sig")
+        g, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+        assert labels == ["0", "1"] and g.src.tolist() == [0, 1], chunk
+        (tmp_path / "e.tsv").write_text("0\t1\n1\t0\n", encoding="utf-8-sig")
+        _, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+        assert labels == ["0", "1"], chunk
 
 
 def _numbered_files(n):
@@ -297,15 +299,17 @@ def _spoil(text: bytes, line: int, byte: bytes) -> bytes:
     return b"\n".join(lines)
 
 
-# line 3 lies in the first chunk, line 12,000 past the first 64 Ki characters
+# line 3 lies in the first chunk, line 12,000 past the first 64 Ki bytes
 @pytest.mark.parametrize("line", [3, 12_000])
 @pytest.mark.parametrize("spoiled", ["e.tsv", "c.tsv"])
 def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, spoiled, line):
     edges, colors = _numbered_files(20_000)
-    for name, text in (("e.tsv", edges), ("c.tsv", colors)):
-        (tmp_path / name).write_bytes(_spoil(text, line, b"\xff") if name == spoiled else text)
-    with pytest.raises(GraphError, match=rf"{spoiled}:{line}: not UTF-8$"):
-        load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    for newline in (b"\n", b"\r\n", b"\r"):
+        for name, text in (("e.tsv", edges), ("c.tsv", colors)):
+            text = _spoil(text, line, b"\xff") if name == spoiled else text
+            (tmp_path / name).write_bytes(text.replace(b"\n", newline))
+        with pytest.raises(GraphError, match=rf"{spoiled}:{line}: not UTF-8$"):
+            load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
 
 
 @pytest.mark.parametrize("line", [3, 12_000])
@@ -384,14 +388,15 @@ def _by_lines(monkeypatch, *paths):
     """The outcome with each file read whole and sent to the line parser."""
     with monkeypatch.context() as m:
         m.setattr(fairank.io, "_chunks",
-                  lambda path: [(1, Path(path).read_text(encoding="utf-8-sig"))])
+                  lambda path: [(1, Path(path).read_text(encoding="utf-8-sig").encode())])
         m.setattr(fairank.io, "_plain_fields", lambda text: None)
         m.setattr(fairank.io, "_id_table", lambda labels: None)
         return _outcome(*paths)
 
 
-@pytest.mark.parametrize("newline, final_newline", [("\n", True), ("\r\n", True), ("\n", False)],
-                         ids=["lf", "crlf", "no_final_newline"])
+@pytest.mark.parametrize("newline, final_newline",
+                         [("\n", True), ("\r\n", True), ("\r", True), ("\n", False)],
+                         ids=["lf", "crlf", "cr", "no_final_newline"])
 @pytest.mark.parametrize("edges, colors", [case[1:] for case in PARSE_CASES],
                          ids=[case[0] for case in PARSE_CASES])
 def test_chunked_load_matches_the_line_parser(tmp_path, monkeypatch, edges, colors,
@@ -463,7 +468,7 @@ def test_decimal_chunks_are_mapped_in_numpy(tmp_path, monkeypatch):
     monkeypatch.setattr(fairank.io, "_records", records_spy)
     monkeypatch.setattr(fairank.io, "_CHUNK", 256)
     loaded, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
-    colors_text = (tmp_path / "c.tsv").read_text()
+    colors_text = (tmp_path / "c.tsv").read_bytes()
     assert split and all(text in colors_text for text in split)  # color chunks only
     assert parsed == []
     assert np.array_equal(loaded.src, g.src) and np.array_equal(loaded.dst, g.dst)
