@@ -188,19 +188,26 @@ def _build_parser(command: str, require: bool = True) -> CliParser:
 # -- config file ------------------------------------------------------------
 
 def _read_config_file(path) -> list[tuple[str, str]]:
-    pairs = []
+    """The ``key = value`` pairs of a config file. As in the data files, a
+    UTF-8 byte-order mark at its start is dropped, ``\n``, ``\r\n`` and a
+    lone ``\r`` end lines, and a byte that is not UTF-8 names its line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                body = raw.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                key, eq, value = body.partition("=")
-                if not eq or not key.strip():
-                    raise GraphError(f"{path}:{lineno}: expected 'key = value'")
-                pairs.append((key.strip(), value.strip()))
+        with open(path, "rb") as fh:
+            lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
     except OSError as exc:
         raise GraphError(f"cannot read config file: {exc}") from None
+    pairs = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            body = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            raise GraphError(f"{path}:{lineno}: not UTF-8") from None
+        if not body:
+            continue
+        key, eq, value = body.partition("=")
+        if not eq or not key.strip():
+            raise GraphError(f"{path}:{lineno}: expected 'key = value'")
+        pairs.append((key.strip(), value.strip()))
     return pairs
 
 

@@ -165,7 +165,7 @@ class ExperimentConfig:
 def compute_ranking(
     g: ColoredDigraph, algo: str, config: ExperimentConfig, spectrum: Optional[Spectrum] = None
 ) -> RankingResult:
-    """Run one configured algorithm; hub/authority pairs yield authorities.
+    """Run one configured algorithm; the HITS rankers rank by authorities.
 
     HITS and subspace HITS read ``spectrum`` when given, a Spectrum of
     ``g`` that holds their k, and solve on their own otherwise."""
@@ -175,9 +175,9 @@ def compute_ranking(
     if algo == "pagerank":
         return pagerank(g, config.eta, ctrl)
     if algo == "hits":
-        return hits(g, ctrl, spectrum=spectrum)[0]
+        return hits(g, ctrl, spectrum=spectrum)
     if algo == "rhits":
-        return randomized_hits(g, config.eps, ctrl)[0]
+        return randomized_hits(g, config.eps, ctrl)
     if algo == "subspace":
         return subspace_hits(g, config.k, config.weight, ctrl, spectrum=spectrum)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -255,7 +255,7 @@ def empirical_mf_ratio(
         raise ValueError("t must be at least 2")
     if indeg_cap < 1:
         raise ValueError("indeg_cap must be at least 1")
-    vec = hits_trace(g, t).vectors[t - 1]
+    vec, _ = hits_trace(g, t)
     eligible = (g.indeg >= 1) & (g.indeg <= indeg_cap)
     means = {}
     for color in (Color.R, Color.B):

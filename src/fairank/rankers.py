@@ -3,7 +3,7 @@
 Degree, PageRank, hub/authority mutual reinforcement (with an unnormalized
 trace variant), a restarted degree-normalized variant, and an eigenspace
 variant that aggregates several leading eigenvectors. Every ranker returns
-scores together with a deterministic total order.
+one RankingResult: scores together with a deterministic total order.
 
 All iterations are expressed as matrix-vector products against the edge
 arrays (a gather and an ``np.add.at`` scatter), which keeps parallel-edge
@@ -22,7 +22,6 @@ from .graph import ColoredDigraph, GraphError
 __all__ = [
     "IterationControl",
     "RankingResult",
-    "HitsTrace",
     "SUBSPACE_WEIGHTS",
     "rank_order",
     "degree_rank",
@@ -241,21 +240,21 @@ def hits(
     ctrl: IterationControl = _DEFAULT_CTRL,
     *,
     spectrum: Optional[Spectrum] = None,
-) -> tuple[RankingResult, RankingResult]:
-    """Mutually reinforcing authority and hub scores.
+) -> RankingResult:
+    """Authority scores of mutual hub/authority reinforcement.
 
     Starting from all-one hubs, alternately setting authorities to the
     backward sum of hub scores and hubs to the forward sum of authority
     scores, L2-normalizing each half-step, converges to the principal
-    eigenvector of A^T A (hubs: of A A^T). On a simple top eigenvalue that
-    is the top Ritz vector, signed to agree with the indegrees, read from
-    ``spectrum`` (a :class:`Spectrum` of ``g`` that holds k = 1) or from a
-    solve of its own at k = 1, whose iterations it reports.
-    On a tied one only the all-ones start picks the limit, so the
-    reinforcement loop runs, and its limit is signed the same way.
-    Authorities below ``ctrl.tol`` times the largest are below what either
-    solve resolves and are set to 0.0, so their ties break by node id.
-    Returns (authorities, hubs); both carry the same convergence flags.
+    eigenvector of A^T A. On a simple top eigenvalue that is the top Ritz
+    vector, signed to agree with the indegrees, read from ``spectrum`` (a
+    :class:`Spectrum` of ``g`` that holds k = 1) or from a solve of its own
+    at k = 1, whose iterations it reports. On a tied one only the all-ones
+    start picks the limit, so the reinforcement loop runs, and its limit is
+    signed the same way. Authorities below ``ctrl.tol`` times the largest
+    are below what either solve resolves and are set to 0.0, so their ties
+    break by node id. On a simple top eigenvalue the hubs of ``g`` are the
+    authorities of its reverse.
     """
     if g.n_edges == 0:
         raise GraphError("hub/authority scores need at least one edge")
@@ -268,7 +267,7 @@ def hits(
 
     if spectrum is None:
         spectrum = Spectrum(g, (1,), ctrl)
-    theta, ritz, it, converged, residual, _ = spectrum.read(g, 1, ctrl)
+    theta, ritz, it, converged, residual = spectrum.read(g, 1, ctrl)
     tied = _tied(theta, 1)
     if tied:
         a, it, converged, residual = _fixed_point(
@@ -278,61 +277,38 @@ def hits(
         a = ritz[0]
     a = a * (1.0 if a @ g.indeg > 0 else -1.0)
     a[np.abs(a) < ctrl.tol * np.abs(a).max()] = 0.0  # below what the solve resolves
-    h = hub_of(a)
-    auth = RankingResult("hits_authority", a, rank_order(a), it, converged, residual, tied)
-    hub = RankingResult("hits_hub", h, rank_order(h), it, converged, residual, tied)
-    return auth, hub
+    return RankingResult("hits_authority", a, rank_order(a), it, converged, residual, tied)
 
 
-@dataclass(frozen=True)
-class HitsTrace:
-    """Unnormalized authority iterates, first entry the indegree vector.
-
-    Iterate ``t`` (1-based) is ``vectors[t-1] * 2**log2_scales[t-1]``;
-    the power-of-two rescaling keeps the stored floats finite while the
-    true iterates grow geometrically. Ratios of entries within one iterate
-    can use ``vectors`` directly since the scale cancels.
-    """
-
-    vectors: list
-    log2_scales: list
-
-    def iterate(self, t: int) -> np.ndarray:
-        """The true (unscaled) iterate a^(t); may overflow for large t."""
-        return np.ldexp(self.vectors[t - 1], self.log2_scales[t - 1])
-
-
-def hits_trace(g: ColoredDigraph, t_max: int) -> HitsTrace:
-    """Authority iterates a^(1)..a^(t_max) without normalization.
+def hits_trace(g: ColoredDigraph, t: int) -> tuple[np.ndarray, int]:
+    """The authority iterate a^(t) without normalization, as ``(v, e)``
+    with a^(t) = ``np.ldexp(v, e)``, which may overflow.
 
     a^(1) is the indegree vector exactly; each further step multiplies by
     A^T A, so a^(t) counts the alternating backward-forward paths of the
-    reinforcement process. Entries are rescaled by an exact power of two
-    whenever the maximum passes 2**500 (recorded in ``log2_scales``), so
-    small-graph traces remain exact integers.
+    reinforcement process. ``v`` is rescaled by an exact power of two
+    whenever its maximum passes 2**500, so it stays finite, small-graph
+    traces remain exact integers, and ratios of its entries are those of
+    a^(t).
     """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    if t < 1:
+        raise ValueError("t must be at least 1")
     v = g.indeg.astype(float)
     scale = 0
-    vectors = [v]
-    scales = [0]
-    for _ in range(t_max - 1):
+    for _ in range(t - 1):
         v = _backward(g, _forward(g, v))
         peak = v.max()
         if peak > 2.0**500:
             shift = int(np.floor(np.log2(peak)))
             v = np.ldexp(v, -shift)
             scale += shift
-        vectors.append(v)
-        scales.append(scale)
-    return HitsTrace(vectors, scales)
+    return v, scale
 
 
 def randomized_hits(
     g: ColoredDigraph, eps: float = 0.15, ctrl: IterationControl = _DEFAULT_CTRL
-) -> tuple[RankingResult, RankingResult]:
-    """Restarted, degree-normalized hub/authority iteration.
+) -> RankingResult:
+    """Authority scores of the restarted, degree-normalized hub/authority iteration.
 
     Fixed point of
 
@@ -342,7 +318,8 @@ def randomized_hits(
     where Arow divides each row of the adjacency by its outdegree and Acol
     divides each column by its indegree; all-zero rows and columns fall
     back to the uniform distribution. The restart term anchors the scale,
-    so no normalization is applied.
+    so no normalization is applied. Reversing the graph swaps Arow^T and
+    Acol, so the hubs of ``g`` are the authorities of its reverse.
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -363,10 +340,7 @@ def randomized_hits(
     a, it, converged, residual = _fixed_point(
         lambda a: authority_of(hub_of(a)), authority_of(np.ones(n)), 1, ctrl
     )
-    h = hub_of(a)
-    auth = RankingResult("randomized_hits_authority", a, rank_order(a), it, converged, residual)
-    hub = RankingResult("randomized_hits_hub", h, rank_order(h), it, converged, residual)
-    return auth, hub
+    return RankingResult("randomized_hits_authority", a, rank_order(a), it, converged, residual)
 
 
 class _RitzRows(np.ndarray):
@@ -598,11 +572,11 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
     bitwise-equal entries, with 0 iterations. All draws come from a fixed
     internal seed.
 
-    Returns (theta, U, iterations, converged, residual, tied): the leading
+    Returns (theta, U, iterations, converged, residual): the leading
     min(k + 2, n) Ritz values descending, the Ritz vectors as rows of U, the
     largest residual norm of the k + 1 leading pairs over theta_1 (0 for
-    the dense eigenpairs), whether it is at most ``tol``, and whether
-    theta_k and theta_{k+1} tie (never for a warm solve).
+    the dense eigenpairs), and whether it is at most ``tol``. A reader
+    takes its tie verdict from theta at its own k (``_tied``).
     """
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
     start = _krylov_start(g, k, tol, rng)
@@ -615,7 +589,7 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
         start = _krylov_start(g, k, tol, rng, k + 2, None, max_iter)
     if start is None:  # too small for the block's basis
         theta, rows = _dense_eigenpairs(g, min(k + 2, g.n))
-        return theta, rows, 0, True, 0.0, _tied(theta, k)
+        return theta, rows, 0, True, 0.0
     theta, resid = start.theta, start.resid
     return (
         theta,
@@ -623,7 +597,6 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
         0 if warm else start.products,  # the one-row runs go uncounted
         bool(np.all(resid <= tol * theta[0])),
         float(resid.max() / theta[0]),
-        _tied(theta, k),
     )
 
 
@@ -646,7 +619,8 @@ class Spectrum:
         self._solve = None
 
     def read(self, g: ColoredDigraph, k: int, ctrl: IterationControl) -> tuple:
-        """The solve as ``_ritz_topk`` returns it, for a reader of ``g`` at ``k`` under ``ctrl``."""
+        """The solve as ``_ritz_topk`` returns it, (theta, U, iterations,
+        converged, residual), for a reader of ``g`` at ``k`` under ``ctrl``."""
         if g is not self.g or k not in self.ks or ctrl != self.ctrl:
             raise ValueError(f"the spectrum holds no solve at k = {k} for this graph and control")
         if self._solve is None:
@@ -684,7 +658,7 @@ def subspace_hits(
         raise ValueError(f"weight must be one of {SUBSPACE_WEIGHTS}")
     if spectrum is None:
         spectrum = Spectrum(g, (k,), ctrl)
-    theta, ritz, it, converged, angle, _ = spectrum.read(g, k, ctrl)
+    theta, ritz, it, converged, angle = spectrum.read(g, k, ctrl)
     top = theta[:k]
     degenerate = _tied(theta, k) or bool(top[-1] <= theta[0] * 1e-12)
     f_weights = np.ones(k) if weight == "unit" else top**2

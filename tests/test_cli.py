@@ -683,6 +683,25 @@ def test_config_file_unknown_key_exits_one(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_config_file_byte_order_mark_is_dropped(tmp_path):
+    # as in the data files: a mark before the first key is not part of it,
+    # and lone-CR and CRLF line ends split lines as LF does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfnodes = 44\rreps = 2\r\nalgos = degree hits\n")
+    argv = cli._config_argv("curve", str(cfg))
+    config = cli._config(cli._build_parser("curve").parse_args(argv))
+    assert (config.n_nodes, config.reps, config.algos) == (44, 2, ("degree", "hits"))
+
+
+def test_config_file_byte_that_is_not_utf8_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"reps = 2\nnodes = 4\xff4\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("curve", "--config", str(cfg))
+    assert exc.value.code == 1
+    assert f"{cfg}:2: not UTF-8" in capsys.readouterr().err
+
+
 def test_config_file_boolean_words(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("svg = true\nnodes = 40\noutdeg = 2\nreps = 1\n")

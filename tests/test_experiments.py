@@ -287,7 +287,7 @@ def test_run_real_two_clique_toy_hits_buries_minority(tmp_path):
         degree_rank(g).order, g.colors, [0.2]
     ).share[0]
     assert exact == 1.0
-    assert minority_share_curve(hits(g)[0].order, g.colors, [0.2]).share[0] == 0.0
+    assert minority_share_curve(hits(g).order, g.colors, [0.2]).share[0] == 0.0
     head = curves["degree"].grid <= 0.2
     assert head.any()
     assert np.all(curves["hits"].share[head] < curves["degree"].share[head])
