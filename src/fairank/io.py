@@ -9,26 +9,31 @@ color-file order and the mapping can be written back out.
 
 Each input file is read forward once as bytes, in chunks of whole lines,
 so it may be a pipe. As in text mode, a UTF-8 byte-order mark at its start
-is dropped, and ``\\r\\n`` and a lone ``\\r`` end a line. Each edge chunk
-takes the first of three paths that fits it. (1) When every color label
-is a canonical decimal (digits, no leading zero other than in ``0``)
-below 8 times the node count, a chunk whose every label is such a
-decimal with a color entry is parsed and mapped in NumPy, through a table
-indexed by label value; ``01`` is not canonical, so it and ``1`` stay two
-labels. (2) A chunk whose every line is two plain ASCII labels and one tab
-is split and mapped in bulk through a dict. (3) Every other chunk, and
-one of the others that holds a fault, goes through the line parser, the
-one place that decodes text, skips comments and blank lines and raises
-parse errors, so every path gives the same records and errors. A byte
-that is not UTF-8 is one of those errors, and names its line.
+is dropped, and ``\\r\\n`` and a lone ``\\r`` end a line. A canonical
+decimal is a label of digits, below 10**18, with no leading zero other
+than in ``0`` itself; ``01`` is not one, so it and ``1`` stay two labels.
+A color file is parsed in NumPy, duplicate check included, up to its
+first chunk that is not all ``decimal<TAB>R|B|r|b`` lines; the labels
+read by then, that chunk and every later one go into a dict. Each edge
+chunk takes the first of three paths that fits it. (1) When every color
+label is a canonical decimal below 8 times the node count, a chunk whose
+every label is such a decimal with a color entry is parsed and mapped in
+NumPy, through a table indexed by label value. (2) A chunk whose every
+line is two plain ASCII labels and one tab is split and mapped in bulk
+through a dict. (3) Every other chunk, and one of the others that holds
+a fault, goes through the line parser, the one place that decodes text,
+skips comments and blank lines and raises parse errors, so every path
+gives the same records and errors. A byte that is not UTF-8 is one of
+those errors, and names its line.
 
 Every text file the package writes goes through :func:`write_text`, and
 every table in it through :func:`table`: each field is written as
 ``str(value)`` of a Python value, so a float is its shortest round-trip
 repr, and lines end in ``\\n`` on every platform. A block of rows is one
 ``%`` operation over its cells. The generated edge and color files hold
-only node ids and color letters, so they skip the Python values: their
-digits are computed in NumPy, a slice of rows at a time, to the same bytes.
+only node ids and color letters, and the node mapping of canonical
+decimal labels only numbers, so they skip the Python values: their digits
+are computed in NumPy, a slice of rows at a time, to the same bytes.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ __all__ = [
     "write_text",
 ]
 
-# rows rendered at a time by write_edge_list and write_color_file: only
-# one slice of the rows is ever held as text
+# rows rendered at a time by the writers of ids (_write_numbered and
+# write_edge_list): only one slice of the rows is ever held as text
 _SLICE = 1 << 16
 
 # bytes read at a time by _chunks; one chunk's fields are the only
@@ -68,15 +73,25 @@ _LABEL_BYTES = bytes(b for b in range(0x21, 0x7F) if b != ord("#"))
 # the color tokens Color.parse takes that such a chunk can hold
 _COLOR_TOKENS = {token: c for c in Color for token in (c.name, c.name.lower())}
 
+# the bytes of those tokens, and the color value of each of them
+_COLOR_BYTES = "".join(_COLOR_TOKENS).encode("ascii")
+_COLOR_OF_BYTE = np.zeros(256, dtype=np.uint8)
+_COLOR_OF_BYTE[list(_COLOR_BYTES)] = list(_COLOR_TOKENS.values())
+
 # the bytes of a label that the id table can map
 _DIGITS = b"0123456789"
+
+# the powers of ten from 10 to 10**18, the bound on canonical decimals: a
+# value's count of them, plus one, is the width of its digits
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 # the id table spans labels below this multiple of the node count, so it
 # costs no more than the label strings
 _TABLE_SPAN = 8
 
-# the byte of each color's letter, indexed by color value
-_COLOR_LETTERS = np.array([ord(Color(v).name) for v in range(len(Color))], dtype=np.uint8)
+# each color, and the byte of its letter, indexed by color value
+_COLORS = tuple(map(Color, range(len(Color))))
+_COLOR_LETTERS = np.array([ord(c.name) for c in _COLORS], dtype=np.uint8)
 
 
 def _drop_comment(line: str) -> str:
@@ -140,23 +155,21 @@ def _plain_fields(data: bytes) -> Optional[list[str]]:
     return fields if len(fields) == 2 * records else None
 
 
-def _canonical(data: bytes, count: int) -> Optional[np.ndarray]:
-    """The numbers in ``data``, digit strings between tabs and newlines, as
-    int64, if there are ``count`` of them and each is a canonical decimal:
-    no leading zero, other than in ``0`` itself. Else None.
+def _canonical(data: bytes, count: int, digits: int) -> Optional[np.ndarray]:
+    """The numbers in ``data``, digit strings between tabs and newlines
+    that hold ``digits`` digits in all, as int64, if there are ``count`` of
+    them, at least one, and each is a canonical decimal below 10**18: no
+    leading zero, other than in ``0`` itself. Else None.
 
-    Each field that starts with ``0`` must read as 0, and none may start
-    with ``00``. An empty field is missing from the count, and a field past
-    2**63 - 1 reads as that value, which no id table reaches."""
+    A field is never narrower than its value's digits, and is as wide only
+    without a leading zero, so the widths sum to ``digits`` only when every
+    field is canonical. An empty field is missing from the count, and a
+    field past 2**63 - 1 reads as that value, which the bound excludes."""
     values = np.fromstring(data, dtype=np.int64, sep=" ")
-    if len(values) != count:
+    if not count or len(values) != count or values.max() >= _POWERS_OF_TEN[-1]:
         return None
-    starts = b"\n" + data
-    zero_starts = starts.count(b"\n0") + starts.count(b"\t0")
-    if zero_starts and (zero_starts != np.count_nonzero(values == 0)
-                        or starts.count(b"\n00") + starts.count(b"\t00")):
-        return None
-    return values
+    widths = np.searchsorted(_POWERS_OF_TEN, values, side="right")
+    return values if int(widths.sum()) + count == digits else None
 
 
 def _id_table(labels: list[str]) -> Optional[np.ndarray]:
@@ -169,11 +182,18 @@ def _id_table(labels: list[str]) -> Optional[np.ndarray]:
     data = text.encode("ascii")
     if data.translate(None, _DIGITS) != b"\n" * (len(labels) - 1):
         return None
-    values = _canonical(data, len(labels))
-    if values is None or values.max() >= _TABLE_SPAN * len(labels):
+    values = _canonical(data, len(labels), len(data) - len(labels) + 1)
+    return None if values is None else _table_of(values)
+
+
+def _table_of(values: np.ndarray) -> Optional[np.ndarray]:
+    """The id table of labels with these values, ids in array order (see
+    :func:`_id_table`), or None if the largest is not below ``_TABLE_SPAN``
+    times their count. A repeated value keeps one of its ids."""
+    if values.max() >= _TABLE_SPAN * len(values):
         return None
     table = np.full(values.max() + 1, -1, dtype=np.int64)
-    table[values] = np.arange(len(labels))
+    table[values] = np.arange(len(values))
     return table
 
 
@@ -183,14 +203,54 @@ def _decimal_ids(data: bytes, table: np.ndarray) -> Optional[np.ndarray]:
     ``table`` (see :func:`_id_table`), else None. A label that fails, such
     as ``01`` or ``+1`` beside ``1``, may name another node or none, so its
     chunk goes to the paths that map the label string."""
-    records = _records_of(data.translate(None, _DIGITS))
+    seps = data.translate(None, _DIGITS)
+    records = _records_of(seps)
     if not records:
         return None
-    values = _canonical(data, 2 * records)
+    values = _canonical(data, 2 * records, len(data) - len(seps))
     if values is None or values.max() >= len(table):
         return None
     ids = table[values]
     return ids if ids.min() >= 0 else None
+
+
+def _decimal_colors(data: bytes) -> Optional[tuple[list[str], np.ndarray, np.ndarray]]:
+    """The labels, label values and colors of a chunk whose every line is
+    ``label<TAB>color``, the label a canonical decimal (see
+    :func:`_canonical`) and the color one of ``R B r b``; else None.
+
+    Deleting the digits must leave a tab, one byte and a newline per line,
+    and deleting the color letters a tab and a newline side by side per
+    line: the byte is a letter, and no digit stands in a color field. A
+    line with no label leaves one number fewer than lines."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    seps = data.translate(None, _DIGITS)
+    lines = len(seps) // 3
+    numbers = data.translate(None, _COLOR_BYTES)
+    if (seps[::3] != b"\t" * lines or seps[2::3] != b"\n" * lines
+            or numbers.count(b"\t\n") != lines):
+        return None
+    values = _canonical(numbers, lines, len(data) - len(seps))
+    if values is None:
+        return None
+    colors = _COLOR_OF_BYTE[np.frombuffer(seps[1::3], dtype=np.uint8)]
+    return numbers.decode("ascii").split(), values, colors
+
+
+def _check_distinct(path, labels: list[str], values: np.ndarray) -> None:
+    """Raise the line parser's error for the first label, in file order,
+    whose value repeats an earlier one; ``labels[i]`` is on line ``i + 1``."""
+    order = np.argsort(values, kind="stable")
+    repeats = order[1:][values[order[1:]] == values[order[:-1]]]
+    if len(repeats):
+        first = int(repeats.min())
+        raise _duplicate_color(path, first + 1, labels[first])
+
+
+def _duplicate_color(path, lineno: int, label: str) -> GraphError:
+    """The error for a color entry whose node has one on an earlier line."""
+    return GraphError(f"{path}:{lineno}: duplicate color for node {label!r}")
 
 
 def _records(path, form: str, lineno: int, data: bytes) -> Iterator[tuple[int, str, str]]:
@@ -232,21 +292,64 @@ def _add_plain_colors(colors: dict[str, Color], fields: list[str]) -> bool:
     return True
 
 
-def read_color_file(path) -> dict[str, Color]:
-    """Parse ``node<TAB>color`` lines; duplicate nodes are an error."""
-    colors: dict[str, Color] = {}
+class _DecimalLabels(list):
+    """The labels of a color file read as canonical decimals. Their int64
+    values are set as ``values`` once the file is read, and the node
+    mapping is written from them (see :func:`write_node_mapping`)."""
+
+    values: np.ndarray
+
+
+def _read_colors(path) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
+    """A color file's labels in file order, their colors as uint8, and the
+    labels' id table (see :func:`_id_table`) or None.
+
+    Chunks go through :func:`_decimal_colors` up to the first that fails
+    it, and the labels are then checked for duplicates in NumPy. From that
+    first chunk on, the labels read so far, once checked, and every later
+    chunk go into a dict: the bulk update of a plain chunk, or the line
+    parser, which raises the errors. A duplicate is the line parser's
+    error on every path."""
+    labels, values, codes = _DecimalLabels(), [], []  # of the chunks read as decimals
+    colors = None  # label -> Color, from the first chunk not read as decimals
     for first, data in _chunks(path):
+        if colors is None:
+            decimal = _decimal_colors(data)
+            if decimal is not None:
+                labels += decimal[0]
+                values.append(decimal[1])
+                codes.append(decimal[2])
+                continue
+            colors = {}
+            if labels:
+                _check_distinct(path, labels, np.concatenate(values))
+                colors = dict(zip(labels, map(_COLORS.__getitem__, np.concatenate(codes).tolist())))
         fields = _plain_fields(data)
         if fields and _add_plain_colors(colors, fields):
             continue
         for lineno, label, color in _records(path, "node<TAB>color", first, data):
             if label in colors:
-                raise GraphError(f"{path}:{lineno}: duplicate color for node {label!r}")
+                raise _duplicate_color(path, lineno, label)
             try:
                 colors[label] = Color.parse(color)
             except GraphError as exc:
                 raise GraphError(f"{path}:{lineno}: {exc}") from None
-    return colors
+    if colors is None:  # every chunk, if any, was read as decimals
+        if not labels:
+            return [], np.empty(0, dtype=np.uint8), None
+        labels.values = np.concatenate(values)
+        table = _table_of(labels.values)
+        if table is None or np.count_nonzero(table >= 0) < len(labels):
+            _check_distinct(path, labels, labels.values)
+        return labels, np.concatenate(codes), table
+    labels = list(colors)
+    return labels, np.fromiter(map(int, colors.values()), dtype=np.uint8), _id_table(labels)
+
+
+def read_color_file(path) -> dict[str, Color]:
+    """Parse ``node<TAB>color`` lines; duplicate nodes are an error."""
+    labels, colors, _ = _read_colors(path)
+    return dict(zip(labels, map(_COLORS.__getitem__, colors.tolist())))
 
 
 def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
@@ -256,11 +359,9 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
     label list (``labels[i]`` is the original name of node ``i``). An edge
     naming a node with no color entry is an error. Each file is read once.
     """
-    color_map = read_color_file(color_path)
-    if not color_map:
+    labels, color_arr, table = _read_colors(color_path)
+    if not labels:
         raise GraphError(f"{color_path}: no color records")
-    labels = list(color_map)
-    table = _id_table(labels)
     index = None  # label -> id, built for the first chunk the table cannot map
 
     parts = []  # one int64 array of flat src, dst ids per chunk
@@ -289,7 +390,6 @@ def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
         raise GraphError(f"{edge_path}: no edge records")
     edges = np.concatenate(parts).reshape(-1, 2)
     del parts  # before the graph build copies the edges
-    color_arr = np.fromiter(map(int, color_map.values()), dtype=np.uint8)
     return from_edge_list(edges, color_arr), labels
 
 
@@ -365,14 +465,24 @@ def write_edge_list(path, g: ColoredDigraph) -> None:
                       for lo in range(0, g.n_edges, _SLICE)))
 
 
+def _write_numbered(path, column: np.ndarray) -> None:
+    """Write ``id<TAB>value`` lines, one per entry of ``column`` (see
+    :func:`_ascii_rows`), ``_SLICE`` rows at a time."""
+    write_text(path, (_ascii_rows((np.arange(lo, min(lo + _SLICE, len(column))),
+                                   column[lo:lo + _SLICE]), b"\t\n")
+                      for lo in range(0, len(column), _SLICE)))
+
+
 def write_color_file(path, g: ColoredDigraph) -> None:
-    """Write ``node<TAB>R|B`` lines, one per dense node id, ``_SLICE`` nodes
-    at a time."""
-    write_text(path, (_ascii_rows((np.arange(lo, min(lo + _SLICE, g.n)),
-                                   _COLOR_LETTERS[g.colors[lo:lo + _SLICE]]), b"\t\n")
-                      for lo in range(0, g.n, _SLICE)))
+    """Write ``node<TAB>R|B`` lines, one per dense node id."""
+    _write_numbered(path, _COLOR_LETTERS[g.colors])
 
 
 def write_node_mapping(path, labels: Sequence[str]) -> None:
-    """Write ``id<TAB>original_label`` lines recording the dense remapping."""
-    write_text(path, table((range(len(labels)), labels), sep="\t"))
+    """Write ``id<TAB>original_label`` lines recording the dense remapping.
+    Labels that :func:`load_graph` read as canonical decimals are written
+    from their values, in NumPy."""
+    if isinstance(labels, _DecimalLabels):
+        _write_numbered(path, labels.values)
+    else:
+        write_text(path, table((range(len(labels)), labels), sep="\t"))
