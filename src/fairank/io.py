@@ -219,16 +219,17 @@ def _decimal_colors(data: bytes) -> Optional[tuple[list[str], np.ndarray, np.nda
     ``label<TAB>color``, the label a canonical decimal (see
     :func:`_canonical`) and the color one of ``R B r b``; else None.
 
-    Deleting the digits must leave a tab, one byte and a newline per line,
-    and deleting the color letters a tab and a newline side by side per
-    line: the byte is a letter, and no digit stands in a color field. A
-    line with no label leaves one number fewer than lines."""
+    Deleting the digits must leave a tab, a color letter and a newline per
+    line, and deleting the color letters a tab and a newline side by side
+    per line, so no digit stands in a color field. A line with no label
+    leaves one number fewer than lines."""
     if not data.endswith(b"\n"):
         data += b"\n"
     seps = data.translate(None, _DIGITS)
     lines = len(seps) // 3
     numbers = data.translate(None, _COLOR_BYTES)
     if (seps[::3] != b"\t" * lines or seps[2::3] != b"\n" * lines
+            or seps[1::3].translate(None, _COLOR_BYTES)
             or numbers.count(b"\t\n") != lines):
         return None
     values = _canonical(numbers, lines, len(data) - len(seps))
@@ -295,9 +296,26 @@ def _add_plain_colors(colors: dict[str, Color], fields: list[str]) -> bool:
 class _DecimalLabels(list):
     """The labels of a color file read as canonical decimals. Their int64
     values are set as ``values`` once the file is read, and the node
-    mapping is written from them (see :func:`write_node_mapping`)."""
+    mapping is written from them (see :func:`write_node_mapping`). Any
+    change to the list drops ``values``, so the two never disagree."""
 
-    values: np.ndarray
+    values: Optional[np.ndarray] = None
+
+
+def _dropping_values(name: str):
+    """The list method ``name``, made to drop the labels' ``values`` first."""
+    method = getattr(list, name)
+
+    def change(self, *args, **kwargs):
+        self.values = None
+        return method(self, *args, **kwargs)
+
+    return change
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(_DecimalLabels, _name, _dropping_values(_name))
 
 
 def _read_colors(path) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
@@ -482,7 +500,7 @@ def write_node_mapping(path, labels: Sequence[str]) -> None:
     """Write ``id<TAB>original_label`` lines recording the dense remapping.
     Labels that :func:`load_graph` read as canonical decimals are written
     from their values, in NumPy."""
-    if isinstance(labels, _DecimalLabels):
+    if isinstance(labels, _DecimalLabels) and labels.values is not None:
         _write_numbered(path, labels.values)
     else:
         write_text(path, table((range(len(labels)), labels), sep="\t"))

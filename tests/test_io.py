@@ -91,6 +91,25 @@ def test_node_mapping_of_decimal_labels_is_rendered_in_numpy(tmp_path, monkeypat
     assert (tmp_path / "map.tsv").read_bytes() == expected
 
 
+@pytest.mark.parametrize("change", [
+    lambda labels: labels.__setitem__(0, "x"),
+    lambda labels: labels.reverse(),
+    lambda labels: labels.sort(key=len, reverse=True),
+    lambda labels: labels.append("12"),
+    lambda labels: labels.pop(),
+    lambda labels: labels.__delitem__(slice(3, 5)),
+    lambda labels: labels.__iadd__(["x"]),
+], ids=["setitem", "reverse", "sort", "append", "pop", "delitem", "iadd"])
+def test_node_mapping_of_changed_decimal_labels_follows_the_list(tmp_path, change):
+    # the values the mapping is written from never outlive a change to the labels
+    (tmp_path / "e.tsv").write_text("0\t1\n")
+    (tmp_path / "c.tsv").write_text("".join(f"{v}\tR\n" for v in range(12)))
+    _, labels = load_graph(tmp_path / "e.tsv", tmp_path / "c.tsv")
+    change(labels)
+    write_node_mapping(tmp_path / "map.tsv", labels)
+    assert (tmp_path / "map.tsv").read_text() == table((range(len(labels)), labels), sep="\t")
+
+
 def test_node_mapping_of_string_labels_keeps_the_table_writer(tmp_path, monkeypatch):
     (tmp_path / "e.tsv").write_text("0\tx\n")
     (tmp_path / "c.tsv").write_text("0\tR\nx\tB\n10\tB\n")
@@ -421,6 +440,8 @@ PARSE_CASES = [
     ("two_color_letters", "", "40\tRB\n"),
     ("spaced_color_letter", "3\t40\n", "40\t R\n"),
     ("digits_in_the_color_field", "", "\t5R\n"),
+    ("tab_in_the_color_field", "", "40\t\t\n"),
+    ("missing_color_then_blank_line", "", "40\tR\n41\t\n\n42\tB\n"),
     ("digits_after_the_color_letter", "", "\tR5\n"),
     ("color_letter_before_the_tab", "", "40R\t\n"),
     ("color_letter_starts_the_next_line", "", "40\t\nR41\tB\n"),
