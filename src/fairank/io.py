@@ -31,9 +31,11 @@ every table in it through :func:`table`: each field is written as
 ``str(value)`` of a Python value, so a float is its shortest round-trip
 repr, and lines end in ``\\n`` on every platform. A block of rows is one
 ``%`` operation over its cells. The generated edge and color files hold
-only node ids and color letters, and the node mapping of canonical
-decimal labels only numbers, so they skip the Python values: their digits
-are computed in NumPy, a slice of rows at a time, to the same bytes.
+only node ids and color letters, so they skip the Python values: their
+digits are computed in NumPy, a slice of rows at a time, to the same
+bytes. The node mapping is written a slice at a time too, from the labels
+alone: a slice whose labels are all canonical decimals is written from
+their values in NumPy, any other through :func:`table`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numpy as np
 from .graph import Color, ColoredDigraph, GraphError, from_edge_list
 
 __all__ = [
-    "read_color_file",
     "load_graph",
     "write_edge_list",
     "write_color_file",
@@ -58,8 +59,8 @@ __all__ = [
     "write_text",
 ]
 
-# rows rendered at a time by the writers of ids (_write_numbered and
-# write_edge_list): only one slice of the rows is ever held as text
+# rows rendered at a time by the file writers: only one slice of the rows
+# is ever held as text
 _SLICE = 1 << 16
 
 # bytes read at a time by _chunks; one chunk's fields are the only
@@ -172,17 +173,24 @@ def _canonical(data: bytes, count: int, digits: int) -> Optional[np.ndarray]:
     return values if int(widths.sum()) + count == digits else None
 
 
-def _id_table(labels: list[str]) -> Optional[np.ndarray]:
-    """``table[int(label)]`` is the id of each label, and -1 where no label
-    is, if every label is a canonical decimal below ``_TABLE_SPAN`` times
-    the number of labels; else None."""
+def _decimal_values(labels: Sequence[str]) -> Optional[np.ndarray]:
+    """The int64 values of ``labels``, if there is at least one and every
+    one is a canonical decimal below 10**18 (see :func:`_canonical`); else
+    None."""
     text = "\n".join(labels)
     if not text.isascii():
         return None
     data = text.encode("ascii")
     if data.translate(None, _DIGITS) != b"\n" * (len(labels) - 1):
         return None
-    values = _canonical(data, len(labels), len(data) - len(labels) + 1)
+    return _canonical(data, len(labels), len(data) - len(labels) + 1)
+
+
+def _id_table(labels: list[str]) -> Optional[np.ndarray]:
+    """``table[int(label)]`` is the id of each label, and -1 where no label
+    is, if every label is a canonical decimal below ``_TABLE_SPAN`` times
+    the number of labels; else None."""
+    values = _decimal_values(labels)
     return None if values is None else _table_of(values)
 
 
@@ -293,31 +301,6 @@ def _add_plain_colors(colors: dict[str, Color], fields: list[str]) -> bool:
     return True
 
 
-class _DecimalLabels(list):
-    """The labels of a color file read as canonical decimals. Their int64
-    values are set as ``values`` once the file is read, and the node
-    mapping is written from them (see :func:`write_node_mapping`). Any
-    change to the list drops ``values``, so the two never disagree."""
-
-    values: Optional[np.ndarray] = None
-
-
-def _dropping_values(name: str):
-    """The list method ``name``, made to drop the labels' ``values`` first."""
-    method = getattr(list, name)
-
-    def change(self, *args, **kwargs):
-        self.values = None
-        return method(self, *args, **kwargs)
-
-    return change
-
-
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(_DecimalLabels, _name, _dropping_values(_name))
-
-
 def _read_colors(path) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     """A color file's labels in file order, their colors as uint8, and the
     labels' id table (see :func:`_id_table`) or None.
@@ -328,7 +311,7 @@ def _read_colors(path) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     chunk go into a dict: the bulk update of a plain chunk, or the line
     parser, which raises the errors. A duplicate is the line parser's
     error on every path."""
-    labels, values, codes = _DecimalLabels(), [], []  # of the chunks read as decimals
+    labels, values, codes = [], [], []  # of the chunks read as decimals
     colors = None  # label -> Color, from the first chunk not read as decimals
     for first, data in _chunks(path):
         if colors is None:
@@ -355,19 +338,13 @@ def _read_colors(path) -> tuple[list[str], np.ndarray, Optional[np.ndarray]]:
     if colors is None:  # every chunk, if any, was read as decimals
         if not labels:
             return [], np.empty(0, dtype=np.uint8), None
-        labels.values = np.concatenate(values)
-        table = _table_of(labels.values)
+        values = np.concatenate(values)
+        table = _table_of(values)
         if table is None or np.count_nonzero(table >= 0) < len(labels):
-            _check_distinct(path, labels, labels.values)
+            _check_distinct(path, labels, values)
         return labels, np.concatenate(codes), table
     labels = list(colors)
     return labels, np.fromiter(map(int, colors.values()), dtype=np.uint8), _id_table(labels)
-
-
-def read_color_file(path) -> dict[str, Color]:
-    """Parse ``node<TAB>color`` lines; duplicate nodes are an error."""
-    labels, colors, _ = _read_colors(path)
-    return dict(zip(labels, map(_COLORS.__getitem__, colors.tolist())))
 
 
 def load_graph(edge_path, color_path) -> tuple[ColoredDigraph, list[str]]:
@@ -483,24 +460,26 @@ def write_edge_list(path, g: ColoredDigraph) -> None:
                       for lo in range(0, g.n_edges, _SLICE)))
 
 
-def _write_numbered(path, column: np.ndarray) -> None:
-    """Write ``id<TAB>value`` lines, one per entry of ``column`` (see
-    :func:`_ascii_rows`), ``_SLICE`` rows at a time."""
-    write_text(path, (_ascii_rows((np.arange(lo, min(lo + _SLICE, len(column))),
-                                   column[lo:lo + _SLICE]), b"\t\n")
-                      for lo in range(0, len(column), _SLICE)))
-
-
 def write_color_file(path, g: ColoredDigraph) -> None:
-    """Write ``node<TAB>R|B`` lines, one per dense node id."""
-    _write_numbered(path, _COLOR_LETTERS[g.colors])
+    """Write ``node<TAB>R|B`` lines, one per dense node id, rendering
+    ``_SLICE`` rows at a time in NumPy (see :func:`_ascii_rows`)."""
+    write_text(path, (_ascii_rows((np.arange(lo, min(lo + _SLICE, g.n)),
+                                   _COLOR_LETTERS[g.colors[lo:lo + _SLICE]]), b"\t\n")
+                      for lo in range(0, g.n, _SLICE)))
 
 
 def write_node_mapping(path, labels: Sequence[str]) -> None:
-    """Write ``id<TAB>original_label`` lines recording the dense remapping.
-    Labels that :func:`load_graph` read as canonical decimals are written
-    from their values, in NumPy."""
-    if isinstance(labels, _DecimalLabels) and labels.values is not None:
-        _write_numbered(path, labels.values)
-    else:
-        write_text(path, table((range(len(labels)), labels), sep="\t"))
+    """Write ``id<TAB>original_label`` lines recording the dense remapping,
+    ``_SLICE`` rows at a time. A slice whose labels are all canonical
+    decimals (see :func:`_decimal_values`) is rendered from their values in
+    NumPy, any other through :func:`table`, to the same bytes."""
+    write_text(path, (_mapping_rows(lo, labels[lo:lo + _SLICE])
+                      for lo in range(0, len(labels), _SLICE)))
+
+
+def _mapping_rows(first: int, labels: Sequence[str]) -> Union[str, bytes]:
+    """The node mapping's lines for ``labels``, the first of them node ``first``."""
+    values = _decimal_values(labels)
+    if values is None:
+        return table((range(first, first + len(labels)), labels), sep="\t")
+    return _ascii_rows((np.arange(first, first + len(labels)), values), b"\t\n")

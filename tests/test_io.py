@@ -14,7 +14,6 @@ from fairank.cli import main
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.io import (
     load_graph,
-    read_color_file,
     table,
     write_color_file,
     write_edge_list,
@@ -120,6 +119,52 @@ def test_node_mapping_of_string_labels_keeps_the_table_writer(tmp_path, monkeypa
     assert written == [((range(3), ["0", "x", "10"]),)]
 
 
+def _is_canonical(label):
+    """Whether ``label`` is a canonical decimal below 10**18, by ``int``."""
+    return (label.isascii() and label.isdigit() and str(int(label)) == label
+            and int(label) < 10**18)
+
+
+_LABEL_SETS = [[], ["0"], ["7", "10", "99", "100", "1001"], ["01"], ["1", "01"], ["+1"],
+               ["-1"], ["\u0661"], [" 1"], ["1e3"], ["1\n2"], [str(10**18 - 1)], [str(10**18)]]
+
+
+@pytest.mark.parametrize("labels", [*_LABEL_SETS, [*"0123456", "x", *map(str, range(8, 20))]],
+                         ids=[*map(repr, _LABEL_SETS), "x_in_the_second_of_3_slices"])
+def test_node_mapping_writer_follows_each_slice_of_labels(tmp_path, monkeypatch, labels):
+    # a slice of canonical decimals is rendered from its values in NumPy,
+    # any other slice by the table writer, to the same bytes
+    expected = table((range(len(labels)), labels), sep="\t").encode()
+    paths = []
+    ascii_rows, table_writer = fairank.io._ascii_rows, fairank.io.table
+    monkeypatch.setattr(fairank.io, "_SLICE", 7)
+    monkeypatch.setattr(fairank.io, "_ascii_rows",
+                        lambda *a: paths.append("numpy") or ascii_rows(*a))
+    monkeypatch.setattr(fairank.io, "table",
+                        lambda *a, **kw: paths.append("table") or table_writer(*a, **kw))
+    write_node_mapping(tmp_path / "map.tsv", labels)
+    assert (tmp_path / "map.tsv").read_bytes() == expected
+    slices = [labels[lo:lo + 7] for lo in range(0, len(labels), 7)]
+    assert paths == ["numpy" if all(map(_is_canonical, part)) else "table" for part in slices]
+
+
+def test_write_node_mapping_holds_one_slice_of_the_labels(tmp_path, monkeypatch):
+    # string labels go through the table writer one slice at a time, so the
+    # peak follows the slice, not the node count. Measured 3.7 bytes per
+    # label with CPython 3.11 and NumPy 2.4, where the whole table at once
+    # peaked at 69; the bound is the other writers' 20
+    monkeypatch.setattr(fairank.io, "_SLICE", 4096)
+    labels = [f"n{i}" for i in range(100_000)]
+    tracemalloc.start()
+    try:
+        write_node_mapping(tmp_path / "map.tsv", labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "map.tsv").read_text() == "".join(f"{i}\tn{i}\n" for i in range(100_000))
+    assert peak / len(labels) <= 20
+
+
 # every kind of value the package writes, and labels that would be format
 # directives if they were part of the format string
 _VALUES = [7, -3, 0.1, 3.0000000000000004, float("nan"), float("inf"), float("-inf"),
@@ -174,15 +219,16 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(GraphError, match=r"bad_edges\.tsv:2: expected 'src<TAB>dst'"):
         load_graph(bad_edge, tmp_path / "c.tsv")
 
+    (tmp_path / "e.tsv").write_text("a\tb\n")  # the color file is read first
     bad_color = tmp_path / "bad_colors.tsv"
     bad_color.write_text("a\tR\nb\tpurple\n")
     with pytest.raises(GraphError, match=r"bad_colors\.tsv:2: unknown color 'purple'"):
-        read_color_file(bad_color)
+        load_graph(tmp_path / "e.tsv", bad_color)
 
     dup = tmp_path / "dup.tsv"
     dup.write_text("a\tR\na\tB\n")
     with pytest.raises(GraphError, match=r"dup\.tsv:2: duplicate color for node 'a'"):
-        read_color_file(dup)
+        load_graph(tmp_path / "e.tsv", dup)
 
 
 def test_load_graph_missing_color_entry(tmp_path):
