@@ -59,6 +59,7 @@ from .rankers import (
     pagerank,
     rank_order,
     randomized_hits,
+    solve_spectrum,
     subspace_hits,
 )
 
@@ -297,8 +298,8 @@ def _run_replica(job: _Replica) -> _Outcome:
     if job.keep == "curves":
         grid = log_grid(g.n, config.grid_points)
     # HITS reads k = 1 and subspace HITS its k: one solve at the largest
-    spectrum = Spectrum(g, [1 if algo == "hits" else spec.k for algo, spec in job.specs
-                            if algo in ("hits", "subspace")], config.ctrl())
+    ks = [1 if a == "hits" else spec.k for a, spec in job.specs if a in ("hits", "subspace")]
+    spectrum = solve_spectrum(g, ks, config.ctrl()) if ks else None
     outputs = []
     converged = True
     for algo, spec in job.specs:

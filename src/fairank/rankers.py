@@ -31,6 +31,7 @@ __all__ = [
     "randomized_hits",
     "subspace_hits",
     "Spectrum",
+    "solve_spectrum",
 ]
 
 SUBSPACE_WEIGHTS = ("unit", "lambda_sq")
@@ -265,16 +266,15 @@ def hits(
     def authority_of(h):
         return _unit(_backward(g, h))
 
-    if spectrum is None:
-        spectrum = Spectrum(g, (1,), ctrl)
-    theta, ritz, it, converged, residual = spectrum.read(g, 1, ctrl)
-    tied = _tied(theta, 1)
+    solve = _solve_at(g, 1, ctrl, spectrum)
+    tied = _tied(solve.theta, 1)
     if tied:
         a, it, converged, residual = _fixed_point(
             lambda a: authority_of(hub_of(a)), authority_of(np.ones(g.n)), 1, ctrl
         )
     else:
-        a = ritz[0]
+        a, it = solve.rows[0], solve.iterations
+        converged, residual = solve.converged, solve.residual
     a = a * (1.0 if a @ g.indeg > 0 else -1.0)
     a[np.abs(a) < ctrl.tol * np.abs(a).max()] = 0.0  # below what the solve resolves
     return RankingResult("hits_authority", a, rank_order(a), it, converged, residual, tied)
@@ -343,19 +343,6 @@ def randomized_hits(
     return RankingResult("randomized_hits_authority", a, rank_order(a), it, converged, residual)
 
 
-class _RitzRows(np.ndarray):
-    """The leading Ritz rows of a Krylov run: a (rows, n) array to every
-    caller, which also carries the run's leading k + 2 Ritz values
-    ``theta``, the residual norms ``resid`` of its leading k + 1 Ritz pairs
-    and the ``products`` with A^T A it took, so a solve can read its
-    boundaries without another product."""
-
-    def __new__(cls, rows, theta, resid, products):
-        self = rows.view(cls)
-        self.theta, self.resid, self.products = theta, resid, products
-        return self
-
-
 def _krylov_start(
     g: ColoredDigraph,
     k: int,
@@ -364,8 +351,8 @@ def _krylov_start(
     s: int = 1,
     agree: Optional[np.ndarray] = None,
     cap: Optional[int] = None,
-) -> Optional[np.ndarray]:
-    """Leading Ritz rows of A^T A from a Krylov–Schur run with blocks of s rows, or None.
+):
+    """Leading Ritz pairs of A^T A from a Krylov–Schur run with blocks of s rows, or None.
 
     Thick-restart Lanczos (Stewart 2001; Wu & Simon 2000) on m + s rows,
     m = max(20, 2b + 4) for b = k + 2, so a restart has room to grow at any
@@ -376,11 +363,12 @@ def _krylov_start(
     Algorithms 47, 2008), so the basis holds s directions of every
     eigenspace. A restart keeps the leading p = k + 4 Ritz rows and the s
     residual rows. The run settles when each of the leading k + 1 Ritz
-    pairs has a residual norm of at most ``tol`` theta_1. It returns its
-    leading max(k, s) Ritz rows as ``_RitzRows``, and stops before a
-    restart that would take it past ``cap`` products (default
-    _KRYLOV_SWEEPS b), so it takes at most max(``cap``, m + s). It is
-    skipped when n <= m + s.
+    pairs has a residual norm of at most ``tol`` theta_1. It returns
+    (rows, theta, resid, products): its leading max(k, s) Ritz rows, k + 2
+    Ritz values clipped at 0, k + 1 residual norms and products with A^T A.
+    It stops before a restart that would take it past ``cap`` products
+    (default _KRYLOV_SWEEPS b), so it takes at most max(``cap``, m + s).
+    It is skipped when n <= m + s.
 
     A row whose new part is below 1e-12 of the largest product so far, or
     of its own product for a first row (the basis spans an invariant
@@ -391,11 +379,11 @@ def _krylov_start(
 
     A one-row run given the k leading rows ``agree`` of an earlier one
     keeps their overlaps with its basis, ``agree @ basis[j]``, one small
-    product per step, rotated with the basis at a restart. After every
-    _AGREE_EVERY products it returns its leading k Ritz rows, settled or
-    not, once they lie within sqrt(``tol``) / 2 of ``agree``
-    (``_agreeing_rows``). A run that never agrees stops as it would without
-    ``agree``, on the same rows.
+    product per step, rotated with the basis at a restart, and returns only
+    its leading k Ritz rows. After every _AGREE_EVERY products it returns
+    them, settled or not, once they lie within sqrt(``tol``) / 2 of
+    ``agree`` (``_agreeing_rows``). A run that never agrees stops as it
+    would without ``agree``, on the same rows.
     """
     m, p = max(20, 2 * k + 8), k + 4
     if g.n <= m + s:
@@ -447,7 +435,9 @@ def _krylov_start(
             if not settled and s == 1:
                 return None
             rows = y[:, : max(k, s)].T @ basis[:m]
-            return _RitzRows(rows, np.maximum(theta[: k + 2], 0.0), resid, products)
+            if agree is not None:
+                return rows
+            return rows, np.maximum(theta[: k + 2], 0.0), resid, products
         basis[:p] = y[:, :p].T @ basis[:m]
         basis[p : p + s] = basis[m:]
         if agree is not None:
@@ -572,17 +562,17 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
     bitwise-equal entries, with 0 iterations. All draws come from a fixed
     internal seed.
 
-    Returns (theta, U, iterations, converged, residual): the leading
-    min(k + 2, n) Ritz values descending, the Ritz vectors as rows of U, the
+    Returns (theta, rows, iterations, converged, residual): the leading
+    min(k + 2, n) Ritz values descending, the Ritz vectors as rows, the
     largest residual norm of the k + 1 leading pairs over theta_1 (0 for
     the dense eigenpairs), and whether it is at most ``tol``. A reader
     takes its tie verdict from theta at its own k (``_tied``).
     """
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
     start = _krylov_start(g, k, tol, rng)
-    second = start if start is None else _krylov_start(g, k, tol, rng, 1, start)
-    warm = (second is not None and _sin_largest_angle(start, second) <= np.sqrt(tol)
-            and not any(_tied(start.theta, j) for j in {*lower, k}))
+    second = start if start is None else _krylov_start(g, k, tol, rng, 1, start[0])
+    warm = (second is not None and _sin_largest_angle(start[0], second) <= np.sqrt(tol)
+            and not any(_tied(start[1], j) for j in {*lower, k}))
     del second
     if not warm:
         del start
@@ -590,45 +580,52 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
     if start is None:  # too small for the block's basis
         theta, rows = _dense_eigenpairs(g, min(k + 2, g.n))
         return theta, rows, 0, True, 0.0
-    theta, resid = start.theta, start.resid
-    return (
-        theta,
-        np.asarray(start),
-        0 if warm else start.products,  # the one-row runs go uncounted
-        bool(np.all(resid <= tol * theta[0])),
-        float(resid.max() / theta[0]),
-    )
+    rows, theta, resid, products = start
+    converged = bool(np.all(resid <= tol * theta[0]))
+    # the one-row runs go uncounted
+    return theta, rows, 0 if warm else products, converged, float(resid.max() / theta[0])
 
 
+@dataclass(frozen=True)
 class Spectrum:
-    """The leading Ritz pairs of A^T A of one graph, solved once, on first read.
-
-    ``ks`` holds every subspace size that will be read: HITS reads 1 and
-    subspace HITS its ``k``. The one ``_ritz_topk`` solve runs at the
-    largest: a one-row Krylov start is the solve only when it resolves
-    every boundary in ``ks``, and a block run settles all the leading
-    Ritz pairs, so each reader takes a tie verdict from theta at its own k.
-    Readers share its arrays, which are read-only. Hold one per graph and
-    drop it with the graph; nothing else caches a solve.
+    """One finished Ritz solve of A^T A of ``g`` under ``ctrl``, as
+    ``_ritz_topk`` returns it, for every subspace size in ``ks``: HITS reads
+    1 and subspace HITS its ``k``. It ran at the largest; a warm solve must
+    resolve every boundary in ``ks`` and a cold one settles every leading
+    pair, so each reader takes a tie verdict from ``theta`` at its own k.
+    Readers share ``theta`` and ``rows``, which are read-only. Hold one per
+    graph and drop it with the graph; nothing else keeps a solve.
     """
 
-    def __init__(self, g: ColoredDigraph, ks, ctrl: IterationControl = _DEFAULT_CTRL):
-        self.g = g
-        self.ks = frozenset(ks)
-        self.ctrl = ctrl
-        self._solve = None
+    g: ColoredDigraph
+    ks: frozenset
+    ctrl: IterationControl
+    theta: np.ndarray
+    rows: np.ndarray
+    iterations: int
+    converged: bool
+    residual: float
 
-    def read(self, g: ColoredDigraph, k: int, ctrl: IterationControl) -> tuple:
-        """The solve as ``_ritz_topk`` returns it, (theta, U, iterations,
-        converged, residual), for a reader of ``g`` at ``k`` under ``ctrl``."""
-        if g is not self.g or k not in self.ks or ctrl != self.ctrl:
-            raise ValueError(f"the spectrum holds no solve at k = {k} for this graph and control")
-        if self._solve is None:
-            *lower, top = sorted(self.ks)
-            self._solve = _ritz_topk(self.g, top, self.ctrl.max_iter, self.ctrl.tol, tuple(lower))
-            for shared in self._solve[:2]:  # theta and the Ritz rows
-                shared.flags.writeable = False
-        return self._solve
+    def __post_init__(self):
+        self.theta.flags.writeable = self.rows.flags.writeable = False
+
+
+def solve_spectrum(g: ColoredDigraph, ks, ctrl: IterationControl = _DEFAULT_CTRL) -> Spectrum:
+    """The Ritz solve of ``g`` that serves every subspace size in ``ks``:
+    one ``_ritz_topk`` solve at the largest, tested for ties at the rest."""
+    *lower, top = sorted(set(ks))
+    solve = _ritz_topk(g, top, ctrl.max_iter, ctrl.tol, tuple(lower))
+    return Spectrum(g, frozenset(ks), ctrl, *solve)
+
+
+def _solve_at(g: ColoredDigraph, k: int, ctrl: IterationControl, shared: Optional[Spectrum]):
+    """``shared`` when it serves ``g`` at ``k`` under ``ctrl``, or a solve of
+    ``g`` at ``k`` alone when it is None."""
+    if shared is None:
+        return solve_spectrum(g, (k,), ctrl)
+    if g is not shared.g or k not in shared.ks or ctrl != shared.ctrl:
+        raise ValueError(f"the spectrum holds no solve at k = {k} for this graph and control")
+    return shared
 
 
 def subspace_hits(
@@ -656,14 +653,11 @@ def subspace_hits(
         raise ValueError("k must lie in 1..n")
     if weight not in SUBSPACE_WEIGHTS:
         raise ValueError(f"weight must be one of {SUBSPACE_WEIGHTS}")
-    if spectrum is None:
-        spectrum = Spectrum(g, (k,), ctrl)
-    theta, ritz, it, converged, angle = spectrum.read(g, k, ctrl)
-    top = theta[:k]
-    degenerate = _tied(theta, k) or bool(top[-1] <= theta[0] * 1e-12)
+    solve = _solve_at(g, k, ctrl, spectrum)
+    top = solve.theta[:k]
+    degenerate = _tied(solve.theta, k) or bool(top[-1] <= solve.theta[0] * 1e-12)
     f_weights = np.ones(k) if weight == "unit" else top**2
-    scores = f_weights @ ritz[:k] ** 2
+    scores = f_weights @ solve.rows[:k] ** 2
     scores[scores < ctrl.tol**2 * f_weights.sum()] = 0.0  # below what the solve resolves
-    return RankingResult(
-        "subspace_hits", scores, rank_order(scores), it, converged, angle, degenerate
-    )
+    return RankingResult("subspace_hits", scores, rank_order(scores), solve.iterations,
+                         solve.converged, solve.residual, degenerate)

@@ -1,0 +1,164 @@
+"""Mutation check: each rule listed below must have a test that fails without it.
+
+A mutant is one exact text replacement in one source file, with the tests
+that should catch it. For each mutant the script copies ``src/`` into a
+temporary directory, makes the replacement there (the old text must occur
+exactly once), and runs those tests with pytest against the copy. The
+mutant is killed when they fail. A mutant marked equivalent changes no
+result that a test could see, and the mark says why; it is run as well,
+and only reported. The script exits 1 when a mutant that is not marked
+equivalent survives, or when an old text is not found; the working tree
+is never edited.
+
+Run from the root of a checkout, with pytest installed:
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py gap tied  # those whose name contains a word given
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RANKERS = "src/fairank/rankers.py"
+T_RANKERS = "tests/test_rankers.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the root of the checkout
+    old: str
+    new: str
+    tests: tuple  # pytest node ids or paths, relative to the root
+    equivalent: str = ""  # why no test can tell it from the original
+
+
+MUTANTS = [
+    Mutant(
+        "no tie gap", RANKERS,
+        "_DEGENERATE_GAP = 1e-8", "_DEGENERATE_GAP = 0",
+        (f"{T_RANKERS}::test_a_start_tied_at_a_boundary_read_leaves_a_cold_solve",
+         f"{T_RANKERS}::test_degeneracy_probe_settles_on_tied_spectra"),
+    ),
+    Mutant(
+        "tied at a strict gap", RANKERS,
+        "theta[k - 1] - theta[k] <= _tie_tol(theta)", "theta[k - 1] - theta[k] < _tie_tol(theta)",
+        (T_RANKERS,),
+        equivalent="a gap equal to the tie tolerance, 1e-8 theta_1 to the last bit, "
+                   "takes a spectrum built for it; exact ties have a gap of 0, "
+                   "which is below the tolerance either way",
+    ),
+    Mutant(
+        "agreement read off the cosines at sqrt(tol) / 4", RANKERS,
+        "if 1.0 - cos[-1] ** 2 >= 0.25 * tol:", "if 1.0 - cos[-1] ** 2 >= 0.0625 * tol:",
+        (f"{T_RANKERS}::test_the_second_krylov_start_stops_once_it_agrees",),
+    ),
+    Mutant(
+        "agreement of the rows at sqrt(tol)", RANKERS,
+        "_sin_largest_angle(rows, agree) ** 2 < 0.25 * tol",
+        "_sin_largest_angle(rows, agree) ** 2 < tol",
+        (f"{T_RANKERS}::test_a_krylov_start_that_stops_early_agrees_with_the_first",),
+    ),
+    Mutant(
+        "warm whatever the angle", RANKERS,
+        "_sin_largest_angle(start[0], second) <= np.sqrt(tol)",
+        "_sin_largest_angle(start[0], second) <= 1.0",
+        (f"{T_RANKERS}::test_a_second_start_that_parts_from_the_first_leaves_a_cold_solve",),
+    ),
+    Mutant(
+        "ties tested at the top k only", RANKERS,
+        "for j in {*lower, k}", "for j in {k}",
+        (f"{T_RANKERS}::test_a_start_tied_at_a_boundary_read_leaves_a_cold_solve",
+         f"{T_RANKERS}::test_readings_below_a_larger_solve_match_their_own_solves"),
+    ),
+    Mutant(
+        "hits keeps unresolved authorities", RANKERS,
+        "    a[np.abs(a) < ctrl.tol * np.abs(a).max()] = 0.0", "",
+        (f"{T_RANKERS}::test_ritz_rankers_snap_what_a_krylov_solve_does_not_resolve",),
+    ),
+    Mutant(
+        "subspace HITS keeps unresolved scores", RANKERS,
+        "    scores[scores < ctrl.tol**2 * f_weights.sum()] = 0.0", "",
+        (f"{T_RANKERS}::test_ritz_rankers_snap_what_a_krylov_solve_does_not_resolve",),
+    ),
+    Mutant(
+        "a spectrum serves any k", RANKERS,
+        " or k not in shared.ks", "",
+        (f"{T_RANKERS}::test_a_spectrum_serves_only_what_it_was_built_for",),
+    ),
+    Mutant(
+        "exponents divide by a growth rate of 0", "src/fairank/meanfield.py",
+        '    if k_b <= 0.0 or k_r <= 0.0:\n        raise ArithmeticError("degenerate growth rate")\n',
+        "",
+        ("tests/test_meanfield.py::test_exponents_reject_a_growth_rate_that_rounds_to_zero",),
+    ),
+]
+
+
+def failed(tests, mutant: Mutant | None = None) -> bool:
+    """Whether ``tests`` fail against a copy of ``src/`` that holds ``mutant``
+    (none: the copy as it is)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            target = Path(tmp) / mutant.path
+            text = target.read_text()
+            if text.count(mutant.old) != 1:
+                raise LookupError(f"{mutant.path}: the text of {mutant.name!r} occurs "
+                                  f"{text.count(mutant.old)} times, not once")
+            target.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run([sys.executable, "-c", "import fairank; print(fairank.__file__)"],
+                               env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+        if not where.stdout.startswith(str(src)):
+            raise RuntimeError(f"fairank imports from {where.stdout.strip()}, not the copy")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            env=env, cwd=ROOT, capture_output=True, text=True,
+        )
+        if run.returncode not in (0, 1):  # 1: tests failed; anything else: no verdict
+            raise RuntimeError(f"pytest exited {run.returncode} on {' '.join(tests)}:\n"
+                               + run.stdout[-2000:])
+        return run.returncode == 1
+
+
+def main(words: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+    t0 = time.perf_counter()
+    every_test = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    if failed(every_test):
+        print("the tests fail on the source as it is, so no mutant can be judged")
+        return 1
+    survivors = []
+    for mutant in chosen:
+        start = time.perf_counter()
+        try:
+            killed = failed(mutant.tests, mutant)
+        except LookupError as exc:
+            print(f"MISSING   {exc}")
+            survivors.append(mutant.name)
+            continue
+        verdict = "killed" if killed else "survived"
+        if mutant.equivalent:
+            verdict += " (equivalent: " + mutant.equivalent + ")"
+        elif not killed:
+            verdict = "SURVIVED"
+            survivors.append(mutant.name)
+        print(f"{time.perf_counter() - start:6.1f} s  {mutant.name}: {verdict}", flush=True)
+    print(f"{len(chosen)} mutants in {time.perf_counter() - t0:.1f} s; "
+          f"{len(survivors)} survived or missing")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -333,6 +333,17 @@ def test_hits_without_subspace_solves_at_k1(tmp_path, solver_calls):
     assert _solve_sizes(solver_calls) == [1, 1, 1]
 
 
+@pytest.mark.parametrize("run, algos", [
+    (run_generate, ("degree", "hits")),
+    (run_curves, ("degree", "pagerank")),
+])
+def test_a_run_without_a_spectral_ranker_makes_no_solve(run, algos, tmp_path, solver_calls):
+    # the shared solve is made up front, so only a run that ranks with HITS
+    # or subspace HITS may make it
+    run(small_config(tmp_path, algos=algos))
+    assert _solve_sizes(solver_calls) == []
+
+
 def test_sweep_k_solves_each_graph_once_and_records_what_ran(tmp_path, solver_calls):
     _, manifest, _ = sweep(small_config(tmp_path, reps=2), "k", [1, 2, 4])
     assert _solve_sizes(solver_calls) == [4, 4]

@@ -115,6 +115,13 @@ def test_exponents_collapse_at_homophily_boundaries():
             assert exponents(r, rho) == (0.5, 0.5, 3.0, 3.0)
 
 
+def test_exponents_reject_a_growth_rate_that_rounds_to_zero():
+    # at r = 0, K_R = rho / 2 exactly, which rounds to 0.0 at the smallest
+    # subnormal rho: the exponent 1 + 1/K_R is then undefined, not inf
+    with pytest.raises(ArithmeticError, match="degenerate growth rate"):
+        exponents(0.0, 5e-324)
+
+
 def test_exponent_symmetry_at_equal_arrivals():
     k_b, k_r, beta_b, beta_r = exponents(0.5, 0.4)
     assert k_b == pytest.approx(k_r, abs=1e-12)

@@ -13,7 +13,6 @@ from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
     IterationControl,
-    Spectrum,
     _fixed_point,
     _sin_largest_angle,
     degree_rank,
@@ -22,6 +21,7 @@ from fairank.rankers import (
     pagerank,
     randomized_hits,
     rank_order,
+    solve_spectrum,
     subspace_hits,
 )
 
@@ -225,13 +225,27 @@ def test_hits_on_a_simple_top_eigenvalue_is_one_ritz_solve(solver_calls):
     assert not auth.degenerate
 
 
+def test_ritz_rankers_snap_what_a_krylov_solve_does_not_resolve():
+    # a 30-fold edge (60, 61) beside a 60-node graph, too large for the dense
+    # eigenpairs: the top eigenvector of A^T A is node 61 alone, and the
+    # Krylov rows carry rounding noise on the nodes of the other component
+    g0, _ = generate(BpamParams(60, 3, 0.3, 0.5), seed=1)
+    edges = np.vstack([np.stack([g0.src, g0.dst], axis=1), [[60, 61]] * 30])
+    g = from_edge_list(edges, np.concatenate([g0.colors, [Color.B, Color.R]]))
+    spectrum = solve_spectrum(g, (1,))
+    assert 0.0 < np.abs(np.delete(spectrum.rows[0], 61)).max() < 1e-15
+    for res in (hits(g, spectrum=spectrum), subspace_hits(g, 1, spectrum=spectrum)):
+        assert np.all(np.delete(res.scores, 61) == 0.0)
+        assert res.order.tolist() == [61, *range(61)]
+
+
 def test_hits_snaps_authorities_the_solve_does_not_resolve():
     # the top eigenvector of A^T A is node 1 alone: the other 17 exact zeros
     # came out as rounding noise of either sign, and of another size when
     # read from a larger solve, so the two orders below node 1 differed
     g = _graph(HIDDEN_TIE_EDGES, 18)
     own = hits(g)
-    shared = hits(g, spectrum=Spectrum(g, (1, 8)))
+    shared = hits(g, spectrum=solve_spectrum(g, (1, 8)))
     for res in (own, shared):
         assert res.scores[1] == pytest.approx(1.0)
         assert np.all(np.delete(res.scores, 1) == 0.0)
@@ -479,6 +493,12 @@ def test_solver_iteration_counts_are_pinned(seed, products, hits_products, reque
         request.getfixturevalue("forced_cold")
 
 
+def _rows(start):
+    """The Ritz rows of a Krylov start: all that a run given rows to agree
+    with returns, and the first of what any other returns."""
+    return start if isinstance(start, np.ndarray) else start[0]
+
+
 def test_a_krylov_start_at_its_product_cap_leaves_the_block_start(monkeypatch, solver_calls):
     # a cap of b products stops a one-row Krylov run that has not settled at
     # its first restart. At k = 6 the one-row start gives up, and the block
@@ -493,7 +513,7 @@ def test_a_krylov_start_at_its_product_cap_leaves_the_block_start(monkeypatch, s
     auth = hits(g)
     assert auth.converged and not auth.degenerate
     starts = solver_calls["_krylov_start"]
-    assert [None if start is None else len(start) for start in starts] == [None, 8, 1, 1]
+    assert [None if start is None else len(_rows(start)) for start in starts] == [None, 8, 1, 1]
 
 
 @pytest.mark.parametrize("seed, first, second", [(1, 41, 28), (2, 51, 32), (3, 41, 24)])
@@ -519,8 +539,7 @@ def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monke
 
     monkeypatch.setattr(rankers, "_forward", counted)
     monkeypatch.setattr(rankers, "_krylov_start", start)
-    spectrum = Spectrum(g, (1, 6))
-    assert spectrum.read(g, 6, spectrum.ctrl)[2] == 0
+    assert solve_spectrum(g, (1, 6)).iterations == 0
     assert starts == [first, second]
     assert len(products) == first + second
 
@@ -545,14 +564,14 @@ def test_a_warm_solve_is_the_first_krylov_start(seed, monkeypatch):
 
     monkeypatch.setattr(rankers, "_forward", counted)
     monkeypatch.setattr(rankers, "_krylov_start", start)
-    spectrum = Spectrum(g, (1, 6))
-    theta, ritz, iterations, converged, residual = spectrum.read(g, 6, spectrum.ctrl)
-    (first, _), _ = starts
+    spectrum = solve_spectrum(g, (1, 6))
+    theta = spectrum.theta
+    ((rows, first_theta, resid, _), _), _ = starts
     assert len(products) == sum(count for _, count in starts)
-    assert (iterations, converged, rankers._tied(theta, 6)) == (0, True, False)
-    assert theta.shape == (8,) and np.array_equal(theta, first.theta)
-    assert type(ritz) is np.ndarray and np.array_equal(ritz, first)
-    assert residual == first.resid.max() / theta[0] <= spectrum.ctrl.tol
+    assert (spectrum.iterations, spectrum.converged, rankers._tied(theta, 6)) == (0, True, False)
+    assert theta.shape == (8,) and np.array_equal(theta, first_theta)
+    assert type(spectrum.rows) is np.ndarray and np.array_equal(spectrum.rows, rows)
+    assert spectrum.residual == resid.max() / theta[0] <= spectrum.ctrl.tol
 
 
 # rounding leaves a residual of about 1e-15 theta_1 in rows formed in floating
@@ -595,19 +614,38 @@ def test_a_start_tied_at_a_boundary_read_leaves_a_cold_solve(solver_calls):
     # one copy's dense eigenvector, on both copies
     one = _bpam_1000(2)
     g = _two_copies(one)
-    spectrum = Spectrum(g, (1, 2))
-    solve = spectrum.read(g, 2, spectrum.ctrl)
+    spectrum = solve_spectrum(g, (1, 2))
     first, second, block = solver_calls["_krylov_start"]
-    assert _sin_largest_angle(first, second) <= np.sqrt(spectrum.ctrl.tol)
-    assert rankers._tied(first.theta, 1) and not rankers._tied(first.theta, 2)
-    assert len(block) == 4 and solve[2] == block.products > 0 and solve[3]
-    assert np.array_equal(solve[0], block.theta) and np.array_equal(solve[1], block)
-    assert rankers._tied(solve[0], 1) and not rankers._tied(solve[0], 2)
+    assert _sin_largest_angle(first[0], second) <= np.sqrt(spectrum.ctrl.tol)
+    assert rankers._tied(first[1], 1) and not rankers._tied(first[1], 2)
+    rows, theta, _, products = block
+    assert len(rows) == 4 and spectrum.iterations == products > 0 and spectrum.converged
+    assert np.array_equal(spectrum.theta, theta) and np.array_equal(spectrum.rows, rows)
+    assert rankers._tied(spectrum.theta, 1) and not rankers._tied(spectrum.theta, 2)
     res = subspace_hits(g, 2, spectrum=spectrum)
     assert res.converged and not res.degenerate
     edges = list(zip(one.src.tolist(), one.dst.tolist()))
     expected = oracles.dense_subspace_scores(edges, one.n, 1, "unit")
     assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-11
+
+
+def test_a_second_start_that_parts_from_the_first_leaves_a_cold_solve(solver_calls):
+    # on two copies of one graph at k = 6 and tol = 1e-6 the first one-row
+    # start holds the three leading doubled eigenvalues as pairs, untied at
+    # the boundary, but the second stops on other leading rows. Only their
+    # angle makes the block run of k + 2 rows the solve
+    one = _bpam_1000(2)
+    g = _two_copies(one)
+    ctrl = IterationControl(tol=1e-6)
+    res = subspace_hits(g, 6, ctrl=ctrl)
+    first, second, block = solver_calls["_krylov_start"]
+    assert not rankers._tied(first[1], 6)
+    assert _sin_largest_angle(first[0], second) > np.sqrt(ctrl.tol)
+    assert res.iterations_used == block[3] > 0
+    assert res.converged and not res.degenerate
+    edges = list(zip(one.src.tolist(), one.dst.tolist()))
+    expected = oracles.dense_subspace_scores(edges, one.n, 3, "unit")
+    assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-6
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
@@ -620,11 +658,11 @@ def test_a_krylov_start_that_stops_early_agrees_with_the_first(seed, k, tol):
     # sine 1.85e-8, above sqrt(tol) / 2, which the rows then reject
     g = _bpam_1000(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    first = rankers._krylov_start(g, k, tol, rng)
+    first = rankers._krylov_start(g, k, tol, rng)[0]
     draw = rng.bit_generator.state
     early = rankers._krylov_start(g, k, tol, rng, 1, first)
     rng.bit_generator.state = draw
-    settled = rankers._krylov_start(g, k, tol, rng)
+    settled = rankers._krylov_start(g, k, tol, rng)[0]
     assert early.shape == first.shape == settled.shape == (k, g.n)
     assert np.max(np.abs(early @ early.T - np.eye(k))) < 1e-12
     assert rankers._sin_largest_angle(early, first) < np.sqrt(tol) / 2
@@ -638,11 +676,11 @@ def test_a_krylov_start_that_parts_from_the_first_runs_to_its_own_stop():
     g = _two_copies(_bpam_1000(2))
     tol = IterationControl().tol
     rng = np.random.Generator(np.random.PCG64(5))
-    first = rankers._krylov_start(g, 1, tol, rng)
+    first = rankers._krylov_start(g, 1, tol, rng)[0]
     draw = rng.bit_generator.state
     second = rankers._krylov_start(g, 1, tol, rng, 1, first)
     rng.bit_generator.state = draw
-    assert np.array_equal(second, rankers._krylov_start(g, 1, tol, rng))
+    assert np.array_equal(second, rankers._krylov_start(g, 1, tol, rng)[0])
     assert rankers._sin_largest_angle(second, first) > np.sqrt(tol)
 
 
@@ -662,7 +700,7 @@ def test_fixed_point_iteration_counts_are_pinned(seed, pagerank_iterations, rhit
 def test_one_warm_solve_matches_the_dense_oracle_at_every_k(rho, solver_calls):
     g, _ = generate(BpamParams(1000, 6, 0.3, rho), seed=1)
     edges = list(zip(g.src.tolist(), g.dst.tolist()))
-    spectrum = Spectrum(g, (1, 3, 6))
+    spectrum = solve_spectrum(g, (1, 3, 6))
     for k in (1, 3, 6):
         res = subspace_hits(g, k, spectrum=spectrum)
         assert res.converged and not res.degenerate
@@ -698,7 +736,7 @@ def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(solver_calls):
     auth = hits(g)
     res = subspace_hits(g, 3)
     starts = solver_calls["_krylov_start"]
-    assert [None if start is None else len(start) for start in starts] == [None, 3, None, 5]
+    assert [None if start is None else len(_rows(start)) for start in starts] == [None, 3, None, 5]
     assert auth.converged and auth.degenerate
     assert res.converged and res.degenerate
 
@@ -732,9 +770,9 @@ def test_a_tie_that_each_krylov_start_sees_once_leaves_a_cold_solve(solver_calls
             assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-11
     starts = solver_calls["_krylov_start"]
     assert len(starts) == 13 and all(start is not None for start in starts)
-    assert [len(start) for start in starts] == [1, 1, 3, 1, 1, 3, 2, 2, 3, 3, 5, 6, 6]
+    assert [len(_rows(start)) for start in starts] == [1, 1, 3, 1, 1, 3, 2, 2, 3, 3, 5, 6, 6]
     pairs = [starts[i : i + 2] for i in (0, 3, 6, 8, 11)]  # the one-row runs
-    parted = [rankers._sin_largest_angle(a, b) > 1e-5 for a, b in pairs]
+    parted = [rankers._sin_largest_angle(a[0], b) > 1e-5 for a, b in pairs]
     assert parted == [True, True, False, True, False]  # hits, then k = 1, 2, 3, 6
 
 
@@ -877,7 +915,7 @@ def test_readings_below_a_larger_solve_match_their_own_solves(graph, solver_call
     else:
         g = _graph(*{**TIED_SPECTRA, "hidden_tie": (HIDDEN_TIE_EDGES, 18)}[graph])
     ks = [k for k in (3, 4, 5) if k < g.n]
-    spectrum = Spectrum(g, (1, *ks, min(8, g.n)))
+    spectrum = solve_spectrum(g, (1, *ks, min(8, g.n)))
     shared = [hits(g, spectrum=spectrum), *(subspace_hits(g, k, spectrum=spectrum) for k in ks)]
     assert len(solver_calls["_ritz_topk"]) == 1
     own = [hits(g), *(subspace_hits(g, k) for k in ks)]
@@ -889,13 +927,25 @@ def test_readings_below_a_larger_solve_match_their_own_solves(graph, solver_call
 
 def test_a_spectrum_serves_only_what_it_was_built_for():
     g = _bpam_1000(1)
-    spectrum = Spectrum(g, (1, 6))
+    spectrum = solve_spectrum(g, (1, 6))
     with pytest.raises(ValueError, match="k = 3"):
         subspace_hits(g, 3, spectrum=spectrum)
     with pytest.raises(ValueError):
         hits(g, IterationControl(tol=1e-6), spectrum=spectrum)
     with pytest.raises(ValueError):
         hits(_bpam_1000(2), spectrum=spectrum)
+
+
+def test_a_shared_solve_is_read_only_and_its_readers_copy():
+    # readers share one solve's arrays, so none may write to them, and the
+    # scores each reader returns are its own
+    g = _bpam_1000(1)
+    spectrum = solve_spectrum(g, (1, 6))
+    for shared in (spectrum.theta, spectrum.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1.0
+    for res in (hits(g, spectrum=spectrum), subspace_hits(g, 6, spectrum=spectrum)):
+        assert not np.shares_memory(res.scores, spectrum.rows)
 
 
 def _in_edges(target, sources, mults):
