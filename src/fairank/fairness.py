@@ -21,7 +21,6 @@ __all__ = [
     "FairnessCurve",
     "log_grid",
     "minority_share_curve",
-    "parity_gap",
     "curve_columns",
     "curve_compare",
     "average_curves",
@@ -94,15 +93,6 @@ def minority_share_curve(order, colors, grid=None) -> FairnessCurve:
     share = prefix_red[top - 1] / top
     baseline = prefix_red[-1] / n
     return FairnessCurve(grid=grid, share=share, baseline=float(baseline))
-
-
-def parity_gap(curve: FairnessCurve, x: float) -> float:
-    """share(x) - baseline at a grid point; negative means minority
-    under-representation among the top x fraction."""
-    hits = np.flatnonzero(np.abs(curve.grid - x) <= _GRID_MATCH_TOL)
-    if hits.size == 0:
-        raise ValueError(f"x={x!r} is not on the curve grid")
-    return float(curve.share[hits[0]] - curve.baseline)
 
 
 def _same_grid(a: np.ndarray, b: np.ndarray) -> bool:

@@ -24,7 +24,6 @@ __all__ = [
     "hri",
     "degree_ccdf",
     "ccdf_by_color",
-    "tail_exponent_fit",
 ]
 
 DEGREE_KINDS = ("in", "out", "total")
@@ -200,33 +199,3 @@ def ccdf_by_color(
         if np.any(mask):
             out[color] = degree_ccdf(deg[mask])
     return out
-
-
-def tail_exponent_fit(
-    ccdf_pair: tuple[np.ndarray, np.ndarray], k_min: int = 1
-) -> float:
-    """Estimate the power-law exponent from the log-log CCDF tail.
-
-    Takes a ``(k, ccdf)`` pair as produced by :func:`degree_ccdf` and fits
-    a least-squares line to ``log ccdf`` versus ``log k`` over
-    ``k >= k_min`` (positive mass only). For a tail ``ccdf ~ k**-(beta-1)``
-    the estimate is ``beta = 1 + |slope|``.
-
-    Raises
-    ------
-    GraphError
-        If fewer than three tail points remain or the fitted slope is not
-        negative (no decaying tail).
-    """
-    ks, ccdf = ccdf_pair
-    ks = np.asarray(ks, dtype=float)
-    ccdf = np.asarray(ccdf, dtype=float)
-    if ks.shape != ccdf.shape:
-        raise GraphError("ccdf arrays have mismatched shapes")
-    mask = (ks >= max(int(k_min), 1)) & (ccdf > 0)
-    if int(mask.sum()) < 3:
-        raise GraphError("tail fit needs at least three points with positive mass")
-    slope = np.polyfit(np.log(ks[mask]), np.log(ccdf[mask]), 1)[0]
-    if slope >= 0:
-        raise GraphError("tail does not decay: slope is non-negative")
-    return 1.0 + float(-slope)

@@ -6,9 +6,9 @@ solve the red edge-endpoint share ``alpha``, build the color-to-color
 attachment probability matrices, derive per-color power-law exponents,
 form the two-step color transition matrix ``q``, and compute the ratio
 ``F = q_RB / q_BB`` that measures how much an authority-style iteration
-discounts red nodes relative to blue nodes of the same indegree. Empirical
-estimators (size-biased moments, trace-based ratio) bridge the formulas to
-generated graphs.
+discounts red nodes relative to blue nodes of the same indegree. The
+empirical estimators that check these formulas on generated graphs live
+with the acceptance gate in ``tests/oracles.py``.
 
 Matrix convention: rows and columns are indexed ``[B, R]`` matching the
 integer values of :class:`fairank.graph.Color`.
@@ -17,12 +17,10 @@ integer values of :class:`fairank.graph.Color`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .graph import Color, ColoredDigraph
-from .rankers import hits_trace
+from .graph import Color
 
 __all__ = [
     "MeanFieldReport",
@@ -33,8 +31,6 @@ __all__ = [
     "q_matrix",
     "mf_ratio",
     "mean_field_report",
-    "size_biased_moment",
-    "empirical_mf_ratio",
     "verify_propositions",
 ]
 
@@ -46,8 +42,6 @@ _DAMPING = 0.5
 _EQ_TOL = 1e-9
 _ROWSUM_TOL = 1e-12
 _FD_STEP = 1e-3
-
-DEFAULT_INDEG_CAP = 10
 
 _B, _R = int(Color.B), int(Color.R)
 
@@ -221,53 +215,6 @@ def mean_field_report(r: float, rho: float) -> MeanFieldReport:
         k_blue=k_b, k_red=k_r, beta_blue=beta_b, beta_red=beta_r,
         q=q, f_ratio=f_ratio,
     )
-
-
-def size_biased_moment(g: ColoredDigraph, t: int, color: Color) -> float:
-    """Within-color indegree moment sum(d^t) / sum(d).
-
-    Grows with the graph size when t - 1 exceeds the color's tail exponent
-    minus 2; t = 1 gives exactly 1. Raises when the color class has zero
-    total indegree.
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    deg = g.indeg[g.colors == int(color)].astype(float)
-    total = deg.sum()
-    if total == 0.0:
-        raise ValueError(f"zero total indegree in color {Color(color).name}")
-    return float((deg**t).sum() / total)
-
-
-def empirical_mf_ratio(
-    g: ColoredDigraph, t: int, indeg_cap: int = DEFAULT_INDEG_CAP
-) -> float:
-    """Red-to-blue ratio of mean authority-per-indegree among low-indegree nodes.
-
-    Runs the unnormalized authority trace to step ``t`` and averages
-    ``a^(t)(v) / d_in(v)`` over nodes with ``1 <= d_in(v) <= indeg_cap``,
-    separately per color; returns red mean over blue mean. The restriction
-    to low indegrees isolates the per-color multiplicative factor from the
-    degree itself. Requires ``t >= 2`` (the ratio is identically 1 at
-    t = 1) and at least one qualifying node of each color.
-    """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if indeg_cap < 1:
-        raise ValueError("indeg_cap must be at least 1")
-    vec, _ = hits_trace(g, t)
-    eligible = (g.indeg >= 1) & (g.indeg <= indeg_cap)
-    means = {}
-    for color in (Color.R, Color.B):
-        sel = eligible & (g.colors == int(color))
-        if not np.any(sel):
-            raise ValueError(
-                f"no {color.name} nodes with indegree in 1..{indeg_cap}"
-            )
-        means[color] = float(np.mean(vec[sel] / g.indeg[sel]))
-    if means[Color.B] == 0.0:
-        raise ValueError("blue mean authority is zero; ratio undefined")
-    return means[Color.R] / means[Color.B]
 
 
 @dataclass(frozen=True)

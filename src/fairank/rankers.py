@@ -1,9 +1,9 @@
 """Ranking algorithms over colored digraphs.
 
-Degree, PageRank, hub/authority mutual reinforcement (with an unnormalized
-trace variant), a restarted degree-normalized variant, and an eigenspace
-variant that aggregates several leading eigenvectors. Every ranker returns
-one RankingResult: scores together with a deterministic total order.
+Degree, PageRank, hub/authority mutual reinforcement, a restarted
+degree-normalized variant, and an eigenspace variant that aggregates
+several leading eigenvectors. Every ranker returns one RankingResult:
+scores together with a deterministic total order.
 
 All iterations are expressed as matrix-vector products against the edge
 arrays (a gather and an ``np.add.at`` scatter), which keeps parallel-edge
@@ -27,7 +27,6 @@ __all__ = [
     "degree_rank",
     "pagerank",
     "hits",
-    "hits_trace",
     "randomized_hits",
     "subspace_hits",
     "Spectrum",
@@ -278,31 +277,6 @@ def hits(
     a = a * (1.0 if a @ g.indeg > 0 else -1.0)
     a[np.abs(a) < ctrl.tol * np.abs(a).max()] = 0.0  # below what the solve resolves
     return RankingResult("hits_authority", a, rank_order(a), it, converged, residual, tied)
-
-
-def hits_trace(g: ColoredDigraph, t: int) -> tuple[np.ndarray, int]:
-    """The authority iterate a^(t) without normalization, as ``(v, e)``
-    with a^(t) = ``np.ldexp(v, e)``, which may overflow.
-
-    a^(1) is the indegree vector exactly; each further step multiplies by
-    A^T A, so a^(t) counts the alternating backward-forward paths of the
-    reinforcement process. ``v`` is rescaled by an exact power of two
-    whenever its maximum passes 2**500, so it stays finite, small-graph
-    traces remain exact integers, and ratios of its entries are those of
-    a^(t).
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    v = g.indeg.astype(float)
-    scale = 0
-    for _ in range(t - 1):
-        v = _backward(g, _forward(g, v))
-        peak = v.max()
-        if peak > 2.0**500:
-            shift = int(np.floor(np.log2(peak)))
-            v = np.ldexp(v, -shift)
-            scale += shift
-    return v, scale
 
 
 def randomized_hits(

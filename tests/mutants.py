@@ -29,7 +29,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RANKERS = "src/fairank/rankers.py"
+EXPERIMENTS = "src/fairank/experiments.py"
+IO = "src/fairank/io.py"
 T_RANKERS = "tests/test_rankers.py"
+T_IO = "tests/test_io.py"
+T_BAD_SETTING = "tests/test_cli.py::test_invalid_run_setting_exits_one_before_any_output"
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,44 @@ MUTANTS = [
         '    if k_b <= 0.0 or k_r <= 0.0:\n        raise ArithmeticError("degenerate growth rate")\n',
         "",
         ("tests/test_meanfield.py::test_exponents_reject_a_growth_rate_that_rounds_to_zero",),
+    ),
+    Mutant(
+        "ties ranked by descending id", RANKERS,
+        "tiebreak = np.arange(n)", "tiebreak = -np.arange(n)",
+        (f"{T_RANKERS}::test_rank_order_descending_with_id_ties",),
+    ),
+    Mutant(
+        "strict exits 0 on a ranker that did not converge", "src/fairank/cli.py",
+        "return EXIT_NONCONVERGED", "return EXIT_OK",
+        ("tests/test_cli.py::test_rank_strict_nonconvergence_exits_three",),
+    ),
+    Mutant(
+        "a share curve of one grid point", EXPERIMENTS,
+        "self.grid_points >= 2", "self.grid_points >= 1",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "a base seed of -1", EXPERIMENTS,
+        "self.base_seed >= 0", "self.base_seed >= -1",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "randomized HITS with no restart", EXPERIMENTS,
+        "0.0 < self.eps", "0.0 <= self.eps",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "duplicate colors found by an unstable sort", IO,
+        'np.argsort(values, kind="stable")', "np.argsort(values)",
+        (f"{T_IO}::test_chunked_load_matches_the_line_parser",),
+    ),
+    Mutant(
+        "an unterminated last record left uncounted", IO,
+        "return lines + unterminated", "return lines",
+        (T_IO,),
+        equivalent="the count falls short only for a chunk whose last line has no "
+                   "newline, the file's last chunk, which then goes to the line "
+                   "parser and gives the same records",
     ),
 ]
 

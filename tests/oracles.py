@@ -7,6 +7,13 @@ implementations under test. The exceptions are ``sequential_bpam``, the
 package's earlier generator kept as the reference for the round-based one,
 and ``averaged_ccdf``, a replica mean of the package's ``degree_ccdf``
 (itself checked against ``exhaustive_ccdf``) for acceptance criterion 8.
+
+The estimators that check the mean-field account on generated graphs live
+here too, since no command runs them: the unnormalized authority trace and
+the low-indegree authority ratio of acceptance criterion 6, the size-biased
+indegree moment, the parity gap of a share curve, and the two tail
+estimators of criterion 8. The trace runs the package's own forward and
+backward products, so criterion 6 checks them against walk counts.
 """
 
 from collections import defaultdict
@@ -16,7 +23,9 @@ import scipy.linalg
 import scipy.optimize
 
 from fairank.bpam import MAX_CONSECUTIVE_REJECTIONS, GenerationStats
-from fairank.graph import Color, GraphError, degree_ccdf, from_edge_list
+from fairank.fairness import _GRID_MATCH_TOL, FairnessCurve
+from fairank.graph import Color, ColoredDigraph, GraphError, degree_ccdf, from_edge_list
+from fairank.rankers import _backward, _forward
 
 
 def dense_adjacency(edges, n):
@@ -160,6 +169,153 @@ def averaged_ccdf(graphs, color, which="total"):
         ccdf = degree_ccdf(d)[1]
         acc[:ccdf.size] += ccdf
     return np.arange(kmax + 1, dtype=np.int64), acc / len(degs)
+
+
+def hits_trace(g: ColoredDigraph, t: int) -> tuple[np.ndarray, int]:
+    """The authority iterate a^(t) without normalization, as ``(v, e)``
+    with a^(t) = ``np.ldexp(v, e)``, which may overflow.
+
+    a^(1) is the indegree vector exactly; each further step multiplies by
+    A^T A, so a^(t) counts the alternating backward-forward paths of the
+    reinforcement process. ``v`` is rescaled by an exact power of two
+    whenever its maximum passes 2**500, so it stays finite, small-graph
+    traces remain exact integers, and ratios of its entries are those of
+    a^(t).
+    """
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    v = g.indeg.astype(float)
+    scale = 0
+    for _ in range(t - 1):
+        v = _backward(g, _forward(g, v))
+        peak = v.max()
+        if peak > 2.0**500:
+            shift = int(np.floor(np.log2(peak)))
+            v = np.ldexp(v, -shift)
+            scale += shift
+    return v, scale
+
+
+DEFAULT_INDEG_CAP = 10
+
+
+def size_biased_moment(g: ColoredDigraph, t: int, color: Color) -> float:
+    """Within-color indegree moment sum(d^t) / sum(d).
+
+    Grows with the graph size when t - 1 exceeds the color's tail exponent
+    minus 2; t = 1 gives exactly 1. Raises when the color class has zero
+    total indegree.
+    """
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    deg = g.indeg[g.colors == int(color)].astype(float)
+    total = deg.sum()
+    if total == 0.0:
+        raise ValueError(f"zero total indegree in color {Color(color).name}")
+    return float((deg**t).sum() / total)
+
+
+def empirical_mf_ratio(
+    g: ColoredDigraph, t: int, indeg_cap: int = DEFAULT_INDEG_CAP
+) -> float:
+    """Red-to-blue ratio of mean authority-per-indegree among low-indegree nodes.
+
+    Runs the unnormalized authority trace to step ``t`` and averages
+    ``a^(t)(v) / d_in(v)`` over nodes with ``1 <= d_in(v) <= indeg_cap``,
+    separately per color; returns red mean over blue mean. The restriction
+    to low indegrees isolates the per-color multiplicative factor from the
+    degree itself. Requires ``t >= 2`` (the ratio is identically 1 at
+    t = 1) and at least one qualifying node of each color.
+    """
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    if indeg_cap < 1:
+        raise ValueError("indeg_cap must be at least 1")
+    vec, _ = hits_trace(g, t)
+    eligible = (g.indeg >= 1) & (g.indeg <= indeg_cap)
+    means = {}
+    for color in (Color.R, Color.B):
+        sel = eligible & (g.colors == int(color))
+        if not np.any(sel):
+            raise ValueError(
+                f"no {color.name} nodes with indegree in 1..{indeg_cap}"
+            )
+        means[color] = float(np.mean(vec[sel] / g.indeg[sel]))
+    if means[Color.B] == 0.0:
+        raise ValueError("blue mean authority is zero; ratio undefined")
+    return means[Color.R] / means[Color.B]
+
+
+def parity_gap(curve: FairnessCurve, x: float) -> float:
+    """share(x) - baseline at a grid point; negative means minority
+    under-representation among the top x fraction."""
+    hits = np.flatnonzero(np.abs(curve.grid - x) <= _GRID_MATCH_TOL)
+    if hits.size == 0:
+        raise ValueError(f"x={x!r} is not on the curve grid")
+    return float(curve.share[hits[0]] - curve.baseline)
+
+
+def tail_exponent_fit(
+    ccdf_pair: tuple[np.ndarray, np.ndarray], k_min: int = 1
+) -> float:
+    """Estimate the power-law exponent from the log-log CCDF tail.
+
+    Takes a ``(k, ccdf)`` pair as produced by :func:`degree_ccdf` and fits
+    a least-squares line to ``log ccdf`` versus ``log k`` over
+    ``k >= k_min`` (positive mass only). For a tail ``ccdf ~ k**-(beta-1)``
+    the estimate is ``beta = 1 + |slope|``.
+
+    Raises
+    ------
+    GraphError
+        If fewer than three tail points remain or the fitted slope is not
+        negative (no decaying tail).
+    """
+    ks, ccdf = ccdf_pair
+    ks = np.asarray(ks, dtype=float)
+    ccdf = np.asarray(ccdf, dtype=float)
+    if ks.shape != ccdf.shape:
+        raise GraphError("ccdf arrays have mismatched shapes")
+    mask = (ks >= max(int(k_min), 1)) & (ccdf > 0)
+    if int(mask.sum()) < 3:
+        raise GraphError("tail fit needs at least three points with positive mass")
+    slope = np.polyfit(np.log(ks[mask]), np.log(ccdf[mask]), 1)[0]
+    if slope >= 0:
+        raise GraphError("tail does not decay: slope is non-negative")
+    return 1.0 + float(-slope)
+
+
+def powerlaw_mle(degrees, k_mins):
+    """Discrete power-law exponent of a degree sample by maximum likelihood,
+    with ``k_min`` chosen by the Kolmogorov-Smirnov distance (Clauset,
+    Shalizi & Newman, SIAM Review 51(4), 2009, eq. 3.7 and sec. 3.3).
+
+    For each candidate ``k_min`` the exponent of ``P(k) ~ k**-alpha`` over
+    the n samples ``k_i >= k_min`` is the closed-form approximation
+    ``alpha = 1 + n / sum(ln(k_i / (k_min - 1/2)))``: the continuous
+    law's estimate with its lower bound at ``k_min - 1/2``. The distance is the largest gap between the samples' CCDF on
+    ``k_min..max + 1`` and that rounded law's,
+    ``((k - 1/2) / (k_min - 1/2))**(1 - alpha)``. Returns ``(alpha,
+    k_min)`` at the smallest distance; no zeta function is needed.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    best = None
+    for k_min in k_mins:
+        if k_min < 1:
+            raise ValueError("k_min must be at least 1")
+        tail = degrees[degrees >= k_min]
+        if tail.size == 0:
+            continue
+        alpha = 1.0 + tail.size / float(np.log(tail / (k_min - 0.5)).sum())
+        ks = np.arange(k_min, int(tail.max()) + 2)
+        seen = np.append(np.bincount(tail - k_min)[::-1].cumsum()[::-1], 0) / tail.size
+        model = ((ks - 0.5) / (k_min - 0.5)) ** (1.0 - alpha)
+        distance = float(np.abs(seen - model).max())
+        if best is None or distance < best[0]:
+            best = (distance, alpha, int(k_min))
+    if best is None:
+        raise ValueError("no sample at or above any k_min")
+    return best[1], best[2]
 
 
 def alpha_root(r, rho):

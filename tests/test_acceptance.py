@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import empirical_mf_ratio, hits_trace, tail_exponent_fit
 from conftest import BASE_SEED
 from fairank.cli import main
 from fairank.fairness import minority_share_curve
-from fairank.graph import Color, from_edge_list, tail_exponent_fit
+from fairank.graph import Color, from_edge_list
 from fairank.meanfield import (
     attachment_probs,
-    empirical_mf_ratio,
     exponents,
     mf_ratio,
     q_matrix,
@@ -24,7 +24,6 @@ from fairank.rankers import (
     IterationControl,
     degree_rank,
     hits,
-    hits_trace,
     pagerank,
     randomized_hits,
     subspace_hits,
@@ -308,8 +307,11 @@ def test_criterion_7_randomized_hits_tracks_indegree(batch_cache, verdict):
 def test_criterion_8_tail_exponents(batch_cache, verdict):
     """Analytic per-color exponents agree with tail fits on 100-replica
     averaged degree CCDFs at N=1000 within +-0.4, and the fitted red
-    exponent exceeds the blue one for r=0.3, rho in {0.1, 0.3, 0.5}."""
+    exponent exceeds the blue one for r=0.3, rho in {0.1, 0.3, 0.5}. The
+    discrete power-law MLE on the pooled degrees (k_min chosen by KS
+    distance in 10..59) is reported beside the fit, and gates nothing."""
     worst_dev = 0.0
+    worst_mle_dev = 0.0
     ordering = True
     for rho in (0.1, 0.3, 0.5):
         batch = batch_cache(r=0.3, rho=rho)
@@ -325,13 +327,19 @@ def test_criterion_8_tail_exponents(batch_cache, verdict):
             keep = ccdf >= 5.0 / n_color
             fits[color] = tail_exponent_fit((ks[keep], ccdf[keep]), k_min=10)
             worst_dev = max(worst_dev, abs(fits[color] - beta))
+            pooled = np.concatenate(
+                [g.degrees()[g.colors == int(color)] for g in batch.graphs]
+            )
+            mle, _ = oracles.powerlaw_mle(pooled, range(10, 60))
+            worst_mle_dev = max(worst_mle_dev, abs(mle - beta))
         ordering = ordering and fits[R] > fits[B]
     ok = worst_dev <= 0.4 and ordering
     verdict(
         8,
         ok,
         f"max |fitted - analytic| = {worst_dev:.3f} <= 0.4; "
-        f"fitted red > blue on all rho: {ordering}",
+        f"fitted red > blue on all rho: {ordering}; "
+        f"discrete MLE max |fitted - analytic| = {worst_mle_dev:.3f}, not gated",
     )
     assert ok
 

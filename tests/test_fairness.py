@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import parity_gap
 from fairank.fairness import (
     FairnessCurve,
     average_curves,
     curve_compare,
     log_grid,
     minority_share_curve,
-    parity_gap,
 )
 from fairank.graph import Color
 from fairank.rankers import rank_order

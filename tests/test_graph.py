@@ -9,6 +9,7 @@ import pytest
 
 import fairank.graph
 import oracles
+from oracles import powerlaw_mle, tail_exponent_fit
 from fairank.graph import (
     Color,
     GraphError,
@@ -17,7 +18,6 @@ from fairank.graph import (
     from_edge_list,
     hri,
     minority_fraction,
-    tail_exponent_fit,
 )
 
 EDGES = [(0, 1), (0, 2), (2, 1), (3, 0), (3, 1), (0, 1)]  # one parallel edge
@@ -158,6 +158,18 @@ def test_tail_fit_errors():
         tail_exponent_fit((ks, rising))
     with pytest.raises(GraphError, match="mismatched"):
         tail_exponent_fit((ks, np.ones(3)))
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.5])
+def test_tail_mle_recovers_a_rounded_power_law(alpha):
+    # a continuous power law above k_min - 1/2, rounded to the nearest
+    # integer (Clauset, Shalizi & Newman 2009, App. D), with k_min = 6
+    u = np.random.default_rng(3).random(100_000)
+    ks = np.floor(5.5 * (1.0 - u) ** (-1.0 / (alpha - 1.0)) + 0.5).astype(np.int64)
+    assert powerlaw_mle(ks, [6])[0] == pytest.approx(alpha, abs=0.1)
+    estimate, k_min = powerlaw_mle(ks, range(1, 30))
+    assert estimate == pytest.approx(alpha, abs=0.1)
+    assert k_min >= 6  # below the law's own k_min the rounded model misfits
 
 
 def test_degrees_unknown_kind():

@@ -442,6 +442,15 @@ _PLAIN_EDGES = "".join(f"{i}\t{(7 * i) % 40}\n" for i in range(40))
 _PLAIN_COLORS = "".join(f"{i}\t{'RB'[i % 3 == 0]}\n" for i in range(40))
 _LONG = "x" * 300
 
+
+def _permuted_decimals(seed):
+    """1,000 color lines of the labels 40..1039 in a seeded order, where the
+    501st repeats the 201st's label."""
+    labels = (np.random.default_rng(seed).permutation(1000) + 40).tolist()
+    labels[500] = labels[200]
+    return "".join(f"{v}\t{'BR'[v % 3 == 0]}\n" for v in labels)
+
+
 # (id, edge lines, color lines) put between the plain edge and color lines
 PARSE_CASES = [
     ("comments", "# note\n3\ta#b\t# tail\n  # indented\na#b\t4 # no\n", "a#b\tR\n4 # no\tb\n#\n"),
@@ -480,6 +489,11 @@ PARSE_CASES = [
      "".join(f"{i}\tB\n" for i in range(40, 50)) + "45\tR\n"),
     ("two_decimal_duplicates", "", "40\tR\n41\tR\n41\tB\n40\tB\n"),
     ("duplicate_then_bad_color", "", "40\tR\n7\tB\n41\tpurple\n"),
+    # the NumPy duplicate check names the later line only if its sort of
+    # the label values is stable; an unstable one orders an equal pair by
+    # the input and the CPU's sort kernel, so two orders are tried
+    ("decimal_duplicate_among_1000_permuted", "", _permuted_decimals(0)),
+    ("decimal_duplicate_among_1000_permuted_again", "", _permuted_decimals(1)),
     ("decimal_beside_its_leading_zero", "40\t040\n040\t40\n", "40\tB\n040\tR\n"),
     ("lower_case_decimal_colors", "3\t40\n41\t3\n", "40\tr\n41\tb\n"),
     ("unknown_color_letter", "", "40\tX\n"),

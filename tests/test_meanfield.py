@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import empirical_mf_ratio, size_biased_moment
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, from_edge_list
 from fairank.meanfield import (
     attachment_probs,
-    empirical_mf_ratio,
     exponents,
     mean_field_report,
     mf_ratio,
     q_matrix,
-    size_biased_moment,
     solve_alpha,
     verify_propositions,
     _exponent_checks,

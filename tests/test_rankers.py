@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import hits_trace
 from fairank import rankers
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
@@ -17,7 +18,6 @@ from fairank.rankers import (
     _sin_largest_angle,
     degree_rank,
     hits,
-    hits_trace,
     pagerank,
     randomized_hits,
     rank_order,
