@@ -34,7 +34,6 @@ from .experiments import (
 )
 from .graph import GraphError
 from .io import table, write_text
-from .meanfield import _validate_params, mean_field_report, verify_propositions
 
 __all__ = ["main"]
 
@@ -281,7 +280,11 @@ def _points(args) -> list[tuple[float, float]]:
     return [(args.r, args.rho)]
 
 
+# the analytic commands import fairank.meanfield when they run, so a graph
+# command never loads it
 def _cmd_meanfield(args, config) -> int:
+    from .meanfield import mean_field_report
+
     rows = []
     for r, rho in _points(args):
         rep = mean_field_report(r, rho)
@@ -297,6 +300,8 @@ def _cmd_meanfield(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
+    from .meanfield import verify_propositions
+
     rows = [(r, rho, check.name, check.mode, "true" if check.passed else "false",
              check.margin)
             for r, rho in _points(args)
@@ -372,6 +377,8 @@ def main(argv=None) -> int:
         if command == "sweep":
             sweep_configs(config, args.axis, args.values)
         if command in _ANALYTIC.split() and not args.grid:
+            from .meanfield import _validate_params
+
             _validate_params(args.r, args.rho)
     except ValueError as exc:
         parser.error(str(exc))

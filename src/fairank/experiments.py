@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Optional, Sequence
@@ -315,9 +314,12 @@ def _run_replica(job: _Replica) -> _Outcome:
 
 
 def _fan_out(config: ExperimentConfig, jobs: list) -> list:
-    """Outcomes in job order; a process pool only when there is work to share."""
+    """Outcomes in job order; a process pool only when there is work to share.
+    The pool's modules load here, so a one-process run never pays for them."""
     if config.threads == 1 or len(jobs) == 1:
         return [_run_replica(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.threads) as pool:
         return list(pool.map(_run_replica, jobs))
 

@@ -34,6 +34,8 @@ IO = "src/fairank/io.py"
 T_RANKERS = "tests/test_rankers.py"
 T_IO = "tests/test_io.py"
 T_BAD_SETTING = "tests/test_cli.py::test_invalid_run_setting_exits_one_before_any_output"
+T_LOADED = "tests/test_cli.py::test_a_one_process_graph_command_loads_no_pool_and_no_mean_field"
+T_PARSE = f"{T_IO}::test_chunked_load_matches_the_line_parser"
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,73 @@ MUTANTS = [
         "randomized HITS with no restart", EXPERIMENTS,
         "0.0 < self.eps", "0.0 <= self.eps",
         (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "reps of 0", EXPERIMENTS,
+        "self.reps >= 1", "self.reps >= 0",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "threads of 0", EXPERIMENTS,
+        "self.threads >= 1", "self.threads >= 0",
+        ("tests/test_cli.py::test_zero_threads_exits_one",),
+    ),
+    Mutant(
+        "an algorithm named twice", EXPERIMENTS,
+        "len(set(self.algos)) == len(self.algos)", "len(set(self.algos)) <= len(self.algos)",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "PageRank with no teleport", EXPERIMENTS,
+        "0.0 <= self.eta < 1.0", "0.0 <= self.eta <= 1.0",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "an eigenspace of dimension 0", EXPERIMENTS,
+        "self.k >= 1", "self.k >= 0",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "a tie-shuffle seed of -1", EXPERIMENTS,
+        "self.tie_shuffle_seed >= 0", "self.tie_shuffle_seed >= -1",
+        (T_BAD_SETTING,),
+    ),
+    Mutant(
+        "the process pool loaded at start-up", EXPERIMENTS,
+        "from itertools import repeat\n",
+        "from concurrent.futures import ProcessPoolExecutor\nfrom itertools import repeat\n",
+        (T_LOADED,),
+    ),
+    Mutant(
+        "the mean field loaded at start-up", "src/fairank/cli.py",
+        "from .io import table, write_text\n",
+        "from .io import table, write_text\nfrom .meanfield import mean_field_report\n",
+        (T_LOADED,),
+    ),
+    Mutant(
+        "decimals with leading zeros", IO,
+        "int(widths.sum()) + count == digits", "int(widths.sum()) + count <= digits",
+        (T_PARSE,),
+    ),
+    Mutant(
+        "decimals past 2**63 - 1 read as that value", IO,
+        " or values.max() >= _POWERS_OF_TEN[-1]", "",
+        (T_PARSE,),
+    ),
+    Mutant(
+        "any byte in the color slot", IO,
+        "\n            or seps[1::3].translate(None, _COLOR_BYTES)", "",
+        (T_PARSE,),
+    ),
+    Mutant(
+        "numbers written with their padding zeros", IO,
+        "                np.not_equal(value, 0, out=keep[:, place - 1])\n", "",
+        (f"{T_IO}::test_ascii_rows_gives_str_of_each_value_at_every_width",),
+    ),
+    Mutant(
+        "a byte that is not UTF-8 named by its chunk's first line", IO,
+        '        lineno += head.count(b"\\n")\n', "",
+        (f"{T_IO}::test_a_byte_that_is_not_utf8_names_its_file_and_line",),
     ),
     Mutant(
         "duplicate colors found by an unstable sort", IO,

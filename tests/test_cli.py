@@ -245,17 +245,52 @@ def test_curve_outputs_and_svg(tmp_path):
     assert (tmp_path / "stats.csv").exists()
 
 
+def _modules_loaded_by(argv) -> set:
+    """The modules that a fresh process holds once ``fairank <argv>`` has
+    exited 0; ``argv`` must send every output to files."""
+    code = (f"import sys; from fairank.cli import main; assert main({argv!r}) == 0; "
+            "print(*sorted(sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    return set(result.stdout.split())
+
+
 def test_a_curve_run_loads_no_scipy(tmp_path):
     # the runtime is NumPy-only, the eigensolver included; SciPy is a
     # test-side oracle, and this process has loaded it already
     argv = ["curve", "--nodes", "200", "--reps", "2", "--algos", "hits", "subspace",
             "--strict", "--out-dir", str(tmp_path)]
-    code = (f"import sys; from fairank.cli import main; assert main({argv!r}) == 0; "
-            "print(*sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.split() == []
+    assert [name for name in _modules_loaded_by(argv)
+            if name.partition(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--nodes", "100", "--reps", "2", "--threads", "1"],
+    ["generate", "--nodes", "100", "--reps", "2"],
+], ids=["curve", "generate"])
+def test_a_one_process_graph_command_loads_no_pool_and_no_mean_field(argv, tmp_path):
+    # the worker pool and the mean field load on first use, so a run that
+    # calls neither does not pay for them at start-up
+    loaded = _modules_loaded_by([*argv, "--out-dir", str(tmp_path)])
+    assert sorted(name for name in loaded
+                  if name.partition(".")[0] in ("concurrent", "multiprocessing")
+                  or name == "fairank.meanfield") == []
+
+
+def test_verify_loads_the_mean_field(tmp_path):
+    argv = ["verify", "--r", "0.3", "--rho", "0.4", "--out", str(tmp_path / "checks.csv")]
+    assert "fairank.meanfield" in _modules_loaded_by(argv)
+
+
+def test_a_pool_run_loads_the_pool_and_writes_the_one_process_bytes(tmp_path):
+    argv = ["curve", "--nodes", "100", "--reps", "2"]
+    pool, one = tmp_path / "pool", tmp_path / "one"
+    assert "concurrent.futures.process" in _modules_loaded_by(
+        [*argv, "--threads", "2", "--out-dir", str(pool)])
+    assert run_cli(*argv, "--threads", "1", "--out-dir", str(one)) == 0
+    for name in ("curves.csv", "stats.csv"):
+        assert (pool / name).read_bytes() == (one / name).read_bytes()
 
 
 def test_curve_weight_flag_maps_to_internal_name(tmp_path):
