@@ -43,10 +43,6 @@ _DEGENERATE_GAP = 1e-8
 # with A^T A per row of a block of k + 2 (a block run is capped by max_iter)
 _KRYLOV_SWEEPS = 20
 
-# a Krylov start that only has to agree with an earlier one compares their
-# leading Ritz rows after every this many products with A^T A
-_AGREE_EVERY = 4
-
 # how many past steps the Anderson mixing of _fixed_point draws on
 _ANDERSON_DEPTH = 4
 
@@ -62,11 +58,11 @@ class IterationControl:
     residual norm of the leading k + 1 Ritz pairs over the top Ritz value,
     and one iteration is one product with A^T A of a block Krylov run (see
     ``_krylov_start`` and ``_ritz_topk``). Every solve begins with two
-    uncounted one-row Krylov runs, the second stopped once it agrees with
-    the first. When they agree and the first's Ritz pairs resolve every
-    boundary read, they are the solve, of 0 iterations; otherwise the
-    block run is. ``max_iter`` caps the iterations; a block run always
-    fills its basis once, so it may take more.
+    uncounted one-row Krylov runs: a start, and a check of it that stops at
+    its verdict. When the check clears the start and the start's Ritz pairs
+    resolve every boundary read, they are the solve, of 0 iterations;
+    otherwise the block run is. ``max_iter`` caps the iterations; a block
+    run always fills its basis once, so it may take more.
     """
 
     tol: float = 1e-10
@@ -323,7 +319,7 @@ def _krylov_start(
     tol: float,
     rng,
     s: int = 1,
-    agree: Optional[np.ndarray] = None,
+    deflate: Optional[tuple] = None,
     cap: Optional[int] = None,
 ):
     """Leading Ritz pairs of A^T A from a Krylov–Schur run with blocks of s rows, or None.
@@ -351,13 +347,16 @@ def _krylov_start(
     with a normal draw projected off the rows before it (``_refill``), and
     at its cap returns its rows unsettled.
 
-    A one-row run given the k leading rows ``agree`` of an earlier one
-    keeps their overlaps with its basis, ``agree @ basis[j]``, one small
-    product per step, rotated with the basis at a restart, and returns only
-    its leading k Ritz rows. After every _AGREE_EVERY products it returns
-    them, settled or not, once they lie within sqrt(``tol``) / 2 of
-    ``agree`` (``_agreeing_rows``). A run that never agrees stops as it
-    would without ``agree``, on the same rows.
+    A one-row run given ``deflate``, the (rows, theta) at k of an earlier
+    one, is a check of that run: it projects every row off those k rows too,
+    so it runs on A^T A deflated by them, and after every product it reads
+    its top Ritz value, a lower bound on the deflated top eigenvalue
+    (Parlett 1980). It returns False once that value reaches theta_k less
+    the tie tolerance (``_tie_tol``): an eigenvalue the earlier run missed.
+    It returns True once the value lies within the tie tolerance of
+    theta_{k+1}: the earlier run's next value found again, with nothing
+    above it. It returns None when it breaks down, settles or reaches its
+    cap before either.
     """
     m, p = max(20, 2 * k + 8), k + 4
     if g.n <= m + s:
@@ -365,23 +364,27 @@ def _krylov_start(
     cap = _KRYLOV_SWEEPS * (k + 2) if cap is None else cap
     basis = np.empty((m + s, g.n))
     t = np.zeros((m + s, m + s))
+    if deflate is not None:
+        found, seen = deflate
+        gap = _tie_tol(seen)
     for i in range(s):
         w = basis[i]
         w[:] = _backward(g, _forward(g, rng.standard_normal(g.n)))
         size = float(np.sqrt(w @ w))
+        if deflate is not None:
+            _project_off(w, found)
         _project_off(w, basis[:i])
         if np.sqrt(w @ w) <= 1e-12 * size:
             _refill(w, basis[:i], rng)
         _unit(w)
-    if agree is not None:
-        overlap = np.empty((k, m + 1))
-        overlap[:, 0] = agree @ basis[0]
     first, products, scale = 0, s, 0.0
     while True:
         for j in range(first, m):
             basis[j + s] = _backward(g, _forward(g, basis[j]))
             w, done = basis[j + s], basis[: j + s]
             scale = max(scale, float(np.sqrt(w @ w)))
+            if deflate is not None:
+                _project_off(w, found)
             t[: j + s, j] = t[j, : j + s] = _project_off(w, done)
             beta = float(np.sqrt(w @ w))
             if beta > 1e-12 * scale:
@@ -393,49 +396,26 @@ def _krylov_start(
                 _unit(w)
                 beta = 0.0
             t[j + s, j] = beta
-            if agree is not None:
-                overlap[:, j + 1] = agree @ w
-                if j >= k - 1 and (products + j + 1 - first) % _AGREE_EVERY == 0:
-                    rows = _agreeing_rows(t[: j + 1, : j + 1], overlap[:, : j + 1],
-                                          basis[: j + 1], agree, tol)
-                    if rows is not None:
-                        return rows
+            if deflate is not None:
+                top = np.linalg.eigvalsh(t[: j + 1, : j + 1])[-1]
+                if top >= seen[k - 1] - gap:
+                    return False
+                if abs(top - seen[k]) <= gap:
+                    return True
         products += m - first
         theta, y = np.linalg.eigh(t[:m, :m])
         theta, y = theta[::-1], y[:, ::-1]
         resid = np.linalg.norm(t[m:, :m] @ y[:, : k + 1], axis=0)
         settled = bool(np.all(resid <= tol * theta[0]))
         if settled or products + m - p > cap:
-            if not settled and s == 1:
+            if deflate is not None or not settled and s == 1:
                 return None
             rows = y[:, : max(k, s)].T @ basis[:m]
-            if agree is not None:
-                return rows
             return rows, np.maximum(theta[: k + 2], 0.0), resid, products
         basis[:p] = y[:, :p].T @ basis[:m]
         basis[p : p + s] = basis[m:]
-        if agree is not None:
-            overlap[:, :p] = overlap[:, :m] @ y[:, :p]
-            overlap[:, p] = overlap[:, m]
         t = np.diag(np.pad(theta[:p], (0, m + s - p)))
         first = p
-
-
-def _agreeing_rows(t, overlap, basis, agree, tol) -> Optional[np.ndarray]:
-    """The leading Ritz rows of ``t``, the projection of A^T A onto the
-    orthonormal ``basis``, if they lie within sqrt(``tol``) / 2 of the
-    orthonormal rows ``agree``, else None; ``overlap`` is ``agree @ basis.T``.
-
-    The cosines of the principal angles are the singular values of the
-    small ``overlap @ y``. Their sine, sqrt(1 - cos^2), cancels near
-    rounding, so an angle that passes is measured again on the rows."""
-    k = len(agree)
-    y = np.linalg.eigh(t)[1][:, : -k - 1 : -1]
-    cos = np.linalg.svd(overlap @ y, compute_uv=False)
-    if 1.0 - cos[-1] ** 2 >= 0.25 * tol:
-        return None
-    rows = y.T @ basis
-    return rows if _sin_largest_angle(rows, agree) ** 2 < 0.25 * tol else None
 
 
 def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -446,19 +426,6 @@ def _project_off(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     again = rows @ w
     w -= again @ rows
     return h + again
-
-
-def _sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
-    """Sine of the largest principal angle between two orthonormal row blocks.
-
-    Projects ``cur`` onto the complement of ``prev`` (no cancellation for
-    tiny angles) and takes the square root of the top eigenvalue of the
-    k x k Gram of that residual, which equals its squared spectral norm.
-    The residual overwrites the projection, so one (k, n) block is made.
-    """
-    resid = (cur @ prev.T) @ prev
-    np.subtract(cur, resid, out=resid)
-    return float(np.sqrt(max(np.linalg.eigvalsh(resid @ resid.T)[-1], 0.0)))
 
 
 def _tie_tol(theta: np.ndarray) -> float:
@@ -510,17 +477,18 @@ def _dense_eigenpairs(g: ColoredDigraph, b: int) -> tuple[np.ndarray, np.ndarray
 def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tuple = ()):
     """Leading Ritz pairs of A^T A from a Krylov–Schur run (``_krylov_start``).
 
-    Two uncounted one-row runs from independent draws start every solve. A
-    one-row Krylov space holds one direction of a tied eigenspace, so on a
-    tie at or above theta_k the two leading-k subspaces part at a random
-    angle: they must agree within sqrt(``tol``). Only that verdict is kept,
-    so the second run stops as soon as its leading rows come within half
-    that angle of the first's; one that parts runs to its own stop. A
-    one-row run draws only before its first product, so the early stop
-    moves no later draw.
+    Two uncounted one-row runs start every solve: a start, and a check of
+    it. A one-row Krylov space holds one direction of a tied eigenspace, so
+    on a tie at or above theta_k the start's leading k rows may miss an
+    eigenvalue. The check runs on A^T A deflated by those rows, and its top
+    Ritz value is a lower bound on the largest eigenvalue they miss: it
+    finds the start's theta_{k+1} again, and returns True, or an eigenvalue
+    at its theta_k or above, and returns False. A one-row run draws only
+    before its first product, so the check draws one row however long it
+    runs, and no later draw depends on where it stops.
 
-    When they agree, the first run has settled its leading k + 1 Ritz pairs
-    to residual norms r_j of at most ``tol`` theta_1, as a one-row run
+    When the check clears it, the start has settled its leading k + 1 Ritz
+    pairs to residual norms r_j of at most ``tol`` theta_1, as a one-row run
     returns rows only once settled. Its Ritz pairs are the solve, a warm
     solve of 0 iterations, when its theta is untied (``_tied``) at k and at
     each size in ``lower`` (each below k): each row then lies within r_j
@@ -544,10 +512,8 @@ def _ritz_topk(g: ColoredDigraph, k: int, max_iter: int, tol: float, lower: tupl
     """
     rng = np.random.Generator(np.random.PCG64(0x5A11E57))
     start = _krylov_start(g, k, tol, rng)
-    second = start if start is None else _krylov_start(g, k, tol, rng, 1, start[0])
-    warm = (second is not None and _sin_largest_angle(start[0], second) <= np.sqrt(tol)
+    warm = (start is not None and _krylov_start(g, k, tol, rng, 1, start[:2]) is True
             and not any(_tied(start[1], j) for j in {*lower, k}))
-    del second
     if not warm:
         del start
         start = _krylov_start(g, k, tol, rng, k + 2, None, max_iter)

@@ -36,6 +36,7 @@ T_IO = "tests/test_io.py"
 T_BAD_SETTING = "tests/test_cli.py::test_invalid_run_setting_exits_one_before_any_output"
 T_LOADED = "tests/test_cli.py::test_a_one_process_graph_command_loads_no_pool_and_no_mean_field"
 T_PARSE = f"{T_IO}::test_chunked_load_matches_the_line_parser"
+T_DOUBLED = f"{T_RANKERS}::test_a_check_finds_the_other_copy_of_a_doubled_eigenvalue"
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,30 @@ MUTANTS = [
                    "which is below the tolerance either way",
     ),
     Mutant(
-        "agreement read off the cosines at sqrt(tol) / 4", RANKERS,
-        "if 1.0 - cos[-1] ** 2 >= 0.25 * tol:", "if 1.0 - cos[-1] ** 2 >= 0.0625 * tol:",
-        (f"{T_RANKERS}::test_the_second_krylov_start_stops_once_it_agrees",),
+        "a missed eigenvalue found only at theta_k itself", RANKERS,
+        "if top >= seen[k - 1] - gap:", "if top >= seen[k - 1]:",
+        (T_DOUBLED,),
     ),
     Mutant(
-        "agreement of the rows at sqrt(tol)", RANKERS,
-        "_sin_largest_angle(rows, agree) ** 2 < 0.25 * tol",
-        "_sin_largest_angle(rows, agree) ** 2 < tol",
-        (f"{T_RANKERS}::test_a_krylov_start_that_stops_early_agrees_with_the_first",),
+        "theta_{k+1} found again within ten tie tolerances", RANKERS,
+        "if abs(top - seen[k]) <= gap:", "if abs(top - seen[k]) <= 10 * gap:",
+        (f"{T_RANKERS}::test_the_deflated_check_stops_at_its_verdict",
+         T_DOUBLED),
     ),
     Mutant(
-        "warm whatever the angle", RANKERS,
-        "_sin_largest_angle(start[0], second) <= np.sqrt(tol)",
-        "_sin_largest_angle(start[0], second) <= 1.0",
-        (f"{T_RANKERS}::test_a_second_start_that_parts_from_the_first_leaves_a_cold_solve",),
+        "a check run on A^T A undeflated after its first row", RANKERS,
+        "            if deflate is not None:\n                _project_off(w, found)\n"
+        "            t[: j + s, j]",
+        "            t[: j + s, j]",
+        (f"{T_RANKERS}::test_a_warm_solve_is_the_first_krylov_start",),
+    ),
+    Mutant(
+        "a check that clears the start at its cap", RANKERS,
+        "            if deflate is not None or not settled and s == 1:\n"
+        "                return None\n",
+        "            if deflate is not None:\n                return True\n"
+        "            if not settled and s == 1:\n                return None\n",
+        (f"{T_RANKERS}::test_a_check_with_no_verdict_by_its_cap_gives_up",),
     ),
     Mutant(
         "ties tested at the top k only", RANKERS,

@@ -61,6 +61,19 @@ def dense_authority_eig(edges, n):
     return w, top, v
 
 
+def sin_largest_angle(cur: np.ndarray, prev: np.ndarray) -> float:
+    """Sine of the largest principal angle between two orthonormal row blocks.
+
+    Projects ``cur`` onto the complement of ``prev`` (no cancellation for
+    tiny angles) and takes the square root of the top eigenvalue of the
+    k x k Gram of that residual, which equals its squared spectral norm.
+    The residual overwrites the projection, so one (k, n) block is made.
+    """
+    resid = (cur @ prev.T) @ prev
+    np.subtract(cur, resid, out=resid)
+    return float(np.sqrt(max(np.linalg.eigvalsh(resid @ resid.T)[-1], 0.0)))
+
+
 def dense_hits_limit(edges, n):
     """Limit of the HITS authority iteration from all-one hubs.
 

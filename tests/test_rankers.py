@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import hits_trace
+from oracles import hits_trace, sin_largest_angle
 from fairank import rankers
 from fairank.bpam import BpamParams, generate
 from fairank.graph import Color, GraphError, from_edge_list
 from fairank.rankers import (
     IterationControl,
     _fixed_point,
-    _sin_largest_angle,
     degree_rank,
     hits,
     pagerank,
@@ -493,18 +492,19 @@ def test_solver_iteration_counts_are_pinned(seed, products, hits_products, reque
         request.getfixturevalue("forced_cold")
 
 
-def _rows(start):
-    """The Ritz rows of a Krylov start: all that a run given rows to agree
-    with returns, and the first of what any other returns."""
-    return start if isinstance(start, np.ndarray) else start[0]
+def _kind(start):
+    """What a Krylov start returned: its number of Ritz rows, or None, or
+    the True or False of a check run given an earlier start's rows."""
+    return start if start is None or isinstance(start, bool) else len(start[0])
 
 
 def test_a_krylov_start_at_its_product_cap_leaves_the_block_start(monkeypatch, solver_calls):
     # a cap of b products stops a one-row Krylov run that has not settled at
     # its first restart. At k = 6 the one-row start gives up, and the block
     # run, which max_iter caps instead, is the solve: it must converge on
-    # the same order and flags. At k = 1 both one-row starts settle on their
-    # first 21 products, before the cap is consulted
+    # the same order and flags. At k = 1 the one-row start settles on its
+    # first 21 products, before the cap is consulted, and the check finds
+    # its theta_2 again before then
     monkeypatch.setattr(rankers, "_KRYLOV_SWEEPS", 1)
     g = _bpam_1000(1)
     res = subspace_hits(g, 6)
@@ -512,17 +512,30 @@ def test_a_krylov_start_at_its_product_cap_leaves_the_block_start(monkeypatch, s
     assert hashlib.sha256(res.order.tobytes()).hexdigest() == ORDER_SHA256[1]
     auth = hits(g)
     assert auth.converged and not auth.degenerate
-    starts = solver_calls["_krylov_start"]
-    assert [None if start is None else len(_rows(start)) for start in starts] == [None, 8, 1, 1]
+    assert [_kind(start) for start in solver_calls["_krylov_start"]] == [None, 8, 1, True]
 
 
-@pytest.mark.parametrize("seed, first, second", [(1, 41, 28), (2, 51, 32), (3, 41, 24)])
-def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monkeypatch):
+def test_a_check_with_no_verdict_by_its_cap_gives_up():
+    # a theta_k above every eigenvalue and a theta_{k+1} that none of the
+    # deflated A^T A lies near: the check reaches neither verdict, and at
+    # its cap returns None, which leaves the solve cold
+    g = _bpam_1000(1)
+    rng = np.random.Generator(np.random.PCG64(1))
+    rows, theta = rankers._krylov_start(g, 6, 1e-10, rng)[:2]
+    unreachable = np.full_like(theta, 2.0 * theta[0])
+    unreachable[6:] = 1.5 * theta[0]
+    assert rankers._krylov_start(g, 6, 1e-10, rng, 1, (rows, unreachable), 8) is None
+
+
+@pytest.mark.parametrize("seed, first, check", [(1, 41, 17), (2, 51, 14), (3, 41, 12)])
+def test_the_deflated_check_stops_at_its_verdict(seed, first, check, monkeypatch):
     # products with A^T A (one _forward call each) of one warm solve read at
-    # k = 1 and 6: the first one-row start settles, the second stops as soon
-    # as its leading rows agree with the first's. Run to its own settling the
-    # second took 41/41/31 products. The solve counts 0 iterations, and no
-    # block run follows
+    # k = 1 and 6: the first one-row start settles, and the check, a one-row
+    # run deflated by its leading 6 rows, stops once its top Ritz value
+    # comes within the tie tolerance of the first's theta_7, in about half
+    # the products of an independent one-row run that agrees with the first
+    # within sqrt(tol) (28/32/24; 41/41/31 run to its own settling). The
+    # solve counts 0 iterations, and no block run follows
     g = _bpam_1000(seed)
     products, starts = [], []
     forward, krylov = rankers._forward, rankers._krylov_start
@@ -540,14 +553,14 @@ def test_the_second_krylov_start_stops_once_it_agrees(seed, first, second, monke
     monkeypatch.setattr(rankers, "_forward", counted)
     monkeypatch.setattr(rankers, "_krylov_start", start)
     assert solve_spectrum(g, (1, 6)).iterations == 0
-    assert starts == [first, second]
-    assert len(products) == first + second
+    assert starts == [first, check]
+    assert len(products) == first + check
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_warm_solve_is_the_first_krylov_start(seed, monkeypatch):
-    # the two one-row starts agree and the first one's Ritz values resolve
-    # both boundaries read, 1 and 6: its Ritz pairs are the solve, so every
+    # the check clears the one-row start and its Ritz values resolve both
+    # boundaries read, 1 and 6: its Ritz pairs are the solve, so every
     # product with A^T A is a start's and no block run follows
     g = _bpam_1000(seed)
     products, starts = [], []
@@ -602,21 +615,22 @@ def test_warm_rows_lie_within_their_residual_over_the_gap(seed, cold, request):
         floor = (residual + _ROUNDING_RESIDUAL) * theta[0]
         for t, row in zip(theta, ritz):
             assert np.linalg.norm(rankers._backward(g, rankers._forward(g, row)) - t * row) <= floor
-        sine = _sin_largest_angle(ritz, np.ascontiguousarray(vectors[:, :k].T))
+        sine = sin_largest_angle(ritz, np.ascontiguousarray(vectors[:, :k].T))
         assert sine <= floor / (theta[k - 1] - theta[k])
 
 
 def test_a_start_tied_at_a_boundary_read_leaves_a_cold_solve(solver_calls):
-    # on two copies of one graph both one-row starts at k = 2 hold the doubled
-    # top eigenvalue twice and agree, so their theta_1 and theta_2 tie at the
-    # boundary 1 that HITS reads: the block run of k + 2 rows is the solve.
+    # on two copies of one graph the one-row start at k = 2 holds the doubled
+    # top eigenvalue twice, and the check clears it, so its theta_1 and
+    # theta_2 tie at the boundary 1 that HITS reads: the block run of k + 2
+    # rows is the solve.
     # Its theta ties at 1 and not at 2, and its k = 2 scores are those of
     # one copy's dense eigenvector, on both copies
     one = _bpam_1000(2)
     g = _two_copies(one)
     spectrum = solve_spectrum(g, (1, 2))
-    first, second, block = solver_calls["_krylov_start"]
-    assert _sin_largest_angle(first[0], second) <= np.sqrt(spectrum.ctrl.tol)
+    first, check, block = solver_calls["_krylov_start"]
+    assert check is True
     assert rankers._tied(first[1], 1) and not rankers._tied(first[1], 2)
     rows, theta, _, products = block
     assert len(rows) == 4 and spectrum.iterations == products > 0 and spectrum.converged
@@ -632,15 +646,16 @@ def test_a_start_tied_at_a_boundary_read_leaves_a_cold_solve(solver_calls):
 def test_a_second_start_that_parts_from_the_first_leaves_a_cold_solve(solver_calls):
     # on two copies of one graph at k = 6 and tol = 1e-6 the first one-row
     # start holds the three leading doubled eigenvalues as pairs, untied at
-    # the boundary, but the second stops on other leading rows. Only their
-    # angle makes the block run of k + 2 rows the solve
+    # the boundary, but the check deflated by its rows finds an eigenvalue
+    # at its theta_6 or above. Only that verdict makes the block run of
+    # k + 2 rows the solve
     one = _bpam_1000(2)
     g = _two_copies(one)
     ctrl = IterationControl(tol=1e-6)
     res = subspace_hits(g, 6, ctrl=ctrl)
-    first, second, block = solver_calls["_krylov_start"]
+    first, check, block = solver_calls["_krylov_start"]
     assert not rankers._tied(first[1], 6)
-    assert _sin_largest_angle(first[0], second) > np.sqrt(ctrl.tol)
+    assert check is False
     assert res.iterations_used == block[3] > 0
     assert res.converged and not res.degenerate
     edges = list(zip(one.src.tolist(), one.dst.tolist()))
@@ -652,36 +667,38 @@ def test_a_second_start_that_parts_from_the_first_leaves_a_cold_solve(solver_cal
 @pytest.mark.parametrize("k", [1, 6])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_krylov_start_that_stops_early_agrees_with_the_first(seed, k, tol):
-    # the rows of an early stop lie within sqrt(tol) / 2 of the first run's,
-    # and those of the same draw run to its own settling within sqrt(tol).
-    # At tol = 1e-15, seed 3 and k = 1 the cosines alone pass an angle with
-    # sine 1.85e-8, above sqrt(tol) / 2, which the rows then reject
+    # the check deflated by the first run's leading k rows finds the first's
+    # theta_{k+1} again, with nothing at its theta_k or above: True. The
+    # same draw run to its own settling gives leading rows within sqrt(tol)
+    # of the first's
     g = _bpam_1000(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    first = rankers._krylov_start(g, k, tol, rng)[0]
+    first = rankers._krylov_start(g, k, tol, rng)
     draw = rng.bit_generator.state
-    early = rankers._krylov_start(g, k, tol, rng, 1, first)
+    assert rankers._krylov_start(g, k, tol, rng, 1, first[:2]) is True
     rng.bit_generator.state = draw
-    settled = rankers._krylov_start(g, k, tol, rng)[0]
-    assert early.shape == first.shape == settled.shape == (k, g.n)
-    assert np.max(np.abs(early @ early.T - np.eye(k))) < 1e-12
-    assert rankers._sin_largest_angle(early, first) < np.sqrt(tol) / 2
-    assert rankers._sin_largest_angle(settled, first) <= np.sqrt(tol)
+    settled = rankers._krylov_start(g, k, tol, rng)
+    assert settled[0].shape == first[0].shape == (k, g.n)
+    assert sin_largest_angle(settled[0], first[0]) <= np.sqrt(tol)
 
 
 def test_a_krylov_start_that_parts_from_the_first_runs_to_its_own_stop():
     # on two copies of one graph the top eigenvalue is doubled, and the
-    # second run's leading row never agrees with the first's: it stops
-    # where a run given nothing to agree with stops, on the same rows
+    # check, deflated by the first run's leading row, finds the other copy:
+    # False, after one normal draw and no other. The same draw run to its
+    # own settling gives a leading row that parts from the first's
     g = _two_copies(_bpam_1000(2))
     tol = IterationControl().tol
     rng = np.random.Generator(np.random.PCG64(5))
-    first = rankers._krylov_start(g, 1, tol, rng)[0]
+    first = rankers._krylov_start(g, 1, tol, rng)
     draw = rng.bit_generator.state
-    second = rankers._krylov_start(g, 1, tol, rng, 1, first)
+    assert rankers._krylov_start(g, 1, tol, rng, 1, first[:2]) is False
+    after = rng.bit_generator.state
     rng.bit_generator.state = draw
-    assert np.array_equal(second, rankers._krylov_start(g, 1, tol, rng)[0])
-    assert rankers._sin_largest_angle(second, first) > np.sqrt(tol)
+    rng.standard_normal(g.n)
+    assert rng.bit_generator.state == after
+    rng.bit_generator.state = draw
+    assert sin_largest_angle(rankers._krylov_start(g, 1, tol, rng)[0], first[0]) > np.sqrt(tol)
 
 
 @pytest.mark.parametrize("seed, pagerank_iterations, rhits_iterations", [
@@ -736,7 +753,7 @@ def test_a_krylov_start_that_breaks_down_leaves_a_cold_solve(solver_calls):
     auth = hits(g)
     res = subspace_hits(g, 3)
     starts = solver_calls["_krylov_start"]
-    assert [None if start is None else len(_rows(start)) for start in starts] == [None, 3, None, 5]
+    assert [_kind(start) for start in starts] == [None, 3, None, 5]
     assert auth.converged and auth.degenerate
     assert res.converged and res.degenerate
 
@@ -748,13 +765,13 @@ def _two_copies(g):
 
 def test_a_tie_that_each_krylov_start_sees_once_leaves_a_cold_solve(solver_calls):
     # two disjoint copies of one graph (n = 2000): every eigenvalue of A^T A
-    # is doubled, and there are hundreds of distinct ones, so neither start
+    # is doubled, and there are hundreds of distinct ones, so no one-row run
     # breaks down. At k = 1 and k = 3 a doubled eigenvalue straddles the
-    # boundary, and each one-row start holds its own random direction of it:
-    # the two leading subspaces part, and a block run of k + 2 rows is the
-    # solve, which flags the tie. At k = 2 and k = 6 the boundary falls
-    # between pairs, and the scores are those of one copy's dense
-    # eigenspace, on both copies
+    # boundary, and the one-row start holds one random direction of it: the
+    # check deflated by its rows finds the other, and a block run of k + 2
+    # rows is the solve, which flags the tie. At k = 2 and k = 6 the
+    # boundary falls between pairs, the check clears the start, and the
+    # scores are those of one copy's dense eigenspace, on both copies
     one = _bpam_1000(2)
     g = _two_copies(one)
     edges = list(zip(one.src.tolist(), one.dst.tolist()))
@@ -769,11 +786,73 @@ def test_a_tie_that_each_krylov_start_sees_once_leaves_a_cold_solve(solver_calls
             expected = oracles.dense_subspace_scores(edges, one.n, k // 2, "unit")
             assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-11
     starts = solver_calls["_krylov_start"]
-    assert len(starts) == 13 and all(start is not None for start in starts)
-    assert [len(_rows(start)) for start in starts] == [1, 1, 3, 1, 1, 3, 2, 2, 3, 3, 5, 6, 6]
-    pairs = [starts[i : i + 2] for i in (0, 3, 6, 8, 11)]  # the one-row runs
-    parted = [rankers._sin_largest_angle(a[0], b) > 1e-5 for a, b in pairs]
-    assert parted == [True, True, False, True, False]  # hits, then k = 1, 2, 3, 6
+    # per solve, for hits, then k = 1, 2, 3, 6: the start's rows, the
+    # check's verdict, and the block run's rows when cold
+    assert [_kind(start) for start in starts] == [
+        1, False, 3, 1, False, 3, 2, True, 3, False, 5, 6, True,
+    ]
+
+
+def test_the_check_draws_one_row_and_nothing_else(monkeypatch):
+    # a cold solve is the block run started from the one-row start's rng
+    # state plus the one normal row that the check draws, however long the
+    # check runs
+    g = _two_copies(_bpam_1000(2))
+    states, krylov = [], rankers._krylov_start
+
+    def start(g, k, tol, rng, *rest):
+        states.append(rng.bit_generator.state)
+        return krylov(g, k, tol, rng, *rest)
+
+    monkeypatch.setattr(rankers, "_krylov_start", start)
+    theta, rows, iterations, converged, _ = rankers._ritz_topk(g, 1, 1000, 1e-10)
+    assert len(states) == 3 and iterations > 0 and converged
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = states[0]
+    krylov(g, 1, 1e-10, rng)
+    assert rng.bit_generator.state == states[1]
+    rng.standard_normal(g.n)
+    assert rng.bit_generator.state == states[2]
+    block = krylov(g, 1, 1e-10, rng, 3, None, 1000)
+    assert np.array_equal(block[0], rows) and np.array_equal(block[1], theta)
+    assert block[3] == iterations
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_check_finds_the_other_copy_of_a_doubled_eigenvalue(k, solver_calls):
+    # on two copies of one graph the doubled eigenvalue at k straddles the
+    # boundary: the one-row start's leading k rows hold one direction of it,
+    # and its (k+1)-th Ritz pair, settled through rounding, the other.
+    # Deflated by those k rows, the check's top Ritz value reaches the
+    # start's theta_k less the tie tolerance, a lower bound on an eigenvalue
+    # outside them: the check returns False, as the tie test on the start's
+    # theta finds, and the block run is the solve, which flags the tie
+    one = _bpam_1000(2)
+    g = _two_copies(one)
+    edges = list(zip(one.src.tolist(), one.dst.tolist()))
+    dense = oracles.dense_authority_eig(edges, one.n)[0]
+    j = (k - 1) // 2  # the pair at k and k + 1 is one copy's simple eigenvalue j + 1
+    assert np.min(np.abs(np.delete(dense, j) - dense[j])) > 1e-3 * dense[0]
+    res = subspace_hits(g, k)
+    first, check, block = solver_calls["_krylov_start"]
+    assert check is False and rankers._tied(first[1], k)
+    assert res.degenerate and res.converged and res.iterations_used == block[3] > 0
+
+
+def test_a_tied_graph_untied_at_the_boundary_solves_warm(solver_calls):
+    # two copies of a graph whose three leading eigenvalues the one-row start
+    # at k = 6 holds as pairs: the check clears it, and the warm solve's
+    # scores are those of one copy's dense eigenspace, on both copies. An
+    # angle test against an independent one-row run rejects this start, and
+    # a cold solve takes 308 products
+    one, _ = generate(BpamParams(500, 6, 0.3, 0.5), 12)
+    g = _two_copies(one)
+    res = subspace_hits(g, 6)
+    assert res.iterations_used == 0 and res.converged and not res.degenerate
+    assert [_kind(start) for start in solver_calls["_krylov_start"]] == [6, True]
+    edges = list(zip(one.src.tolist(), one.dst.tolist()))
+    expected = oracles.dense_subspace_scores(edges, one.n, 3, "unit")
+    assert np.max(np.abs(res.scores - np.tile(expected, 2))) <= 1e-11
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -1010,8 +1089,8 @@ def test_gram_angle_matches_spectral_norm(sine):
         cur = np.sqrt(1.0 - sines**2)[:, None] * prev + sines[:, None] * away
         cur = np.linalg.qr(rng.standard_normal((k, k)))[0] @ cur  # another basis
         spectral = np.linalg.norm(cur - (cur @ prev.T) @ prev, 2)
-        assert _sin_largest_angle(cur, prev) == pytest.approx(spectral, rel=1e-6)
-        assert _sin_largest_angle(cur, prev) == pytest.approx(sine, rel=1e-4)
+        assert sin_largest_angle(cur, prev) == pytest.approx(spectral, rel=1e-6)
+        assert sin_largest_angle(cur, prev) == pytest.approx(sine, rel=1e-4)
 
 
 def _affine_contraction(seed, n=50, radius=0.95):
