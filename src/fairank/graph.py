@@ -3,8 +3,8 @@
 Nodes are dense integer ids ``0..n-1``, each carrying one of two community
 colors. Parallel edges are kept with their multiplicity. The structure is
 immutable after construction; adjacency is the edge list itself, so a
-whole-graph matrix-vector product is one gather and one ``np.add.at``
-scatter over it.
+whole-graph matrix-vector product is a gather and an ``np.add.at``
+scatter over it, one span of edges at a time.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ several leading eigenvectors. Every ranker returns one RankingResult:
 scores together with a deterministic total order.
 
 All iterations are expressed as matrix-vector products against the edge
-arrays (a gather and an ``np.add.at`` scatter), which keeps parallel-edge
-multiplicity and costs O(|E|) per step without forming a matrix.
+arrays (a gather and an ``np.add.at`` scatter, one span of edges at a
+time), which keeps parallel-edge multiplicity and costs O(|E|) per step
+without forming a matrix or a temporary of one float per edge.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ _KRYLOV_SWEEPS = 20
 
 # how many past steps the Anderson mixing of _fixed_point draws on
 _ANDERSON_DEPTH = 4
+
+# floats in the largest temporary of a whole-graph product (_spread) or a
+# Krylov restart (_krylov_start): a product gathers this many edges at a
+# time, and a restart writes about this many basis entries at a time
+_SPAN = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -170,22 +176,34 @@ def rank_order(scores, tie_shuffle_seed: Optional[int] = None) -> np.ndarray:
     return np.lexsort((tiebreak, -scores))
 
 
-# np.add.at sums in edge-list order, as np.bincount does, and reads the
-# graph's read-only index arrays in place, where bincount copies them
+def _spread(n: int, at: np.ndarray, of: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y[at[e]] += x[of[e]] over the edges e, from zeros of length n.
+
+    The gather and the ``np.add.at`` scatter take one span of _SPAN edges
+    at a time, so the gathered temporary holds at most _SPAN floats, not
+    one per edge. ``np.add.at`` sums in edge-list order, as np.bincount
+    does, so the spans give every sum bit for bit; it reads the graph's
+    read-only index arrays in place, where bincount copies them. A graph of
+    one span skips the loop, whose slicing added about 0.7 us, 3%, to a
+    product at n=1000.
+    """
+    y = np.zeros(n)
+    if len(at) <= _SPAN:
+        np.add.at(y, at, x[of])
+        return y
+    for lo in range(0, len(at), _SPAN):
+        np.add.at(y, at[lo : lo + _SPAN], x[of[lo : lo + _SPAN]])
+    return y
 
 
 def _forward(g: ColoredDigraph, x: np.ndarray) -> np.ndarray:
     """y[u] = sum over edges (u, v) of x[v]   (adjacency times x)."""
-    y = np.zeros(g.n)
-    np.add.at(y, g.src, x[g.dst])
-    return y
+    return _spread(g.n, g.src, g.dst, x)
 
 
 def _backward(g: ColoredDigraph, x: np.ndarray) -> np.ndarray:
     """y[v] = sum over edges (u, v) of x[u]   (adjacency transpose times x)."""
-    y = np.zeros(g.n)
-    np.add.at(y, g.dst, x[g.src])
-    return y
+    return _spread(g.n, g.dst, g.src, x)
 
 
 def degree_rank(g: ColoredDigraph, which: str = "total") -> RankingResult:
@@ -331,14 +349,14 @@ def _krylov_start(
     the basis starts in the range of A^T A. Row j + s is A^T A times row j,
     the band form of block Lanczos (Ruhe 1979; Zhou & Saad, Numer.
     Algorithms 47, 2008), so the basis holds s directions of every
-    eigenspace. A restart keeps the leading p = k + 4 Ritz rows and the s
-    residual rows. The run settles when each of the leading k + 1 Ritz
-    pairs has a residual norm of at most ``tol`` theta_1. It returns
-    (rows, theta, resid, products): its leading max(k, s) Ritz rows, k + 2
-    Ritz values clipped at 0, k + 1 residual norms and products with A^T A.
-    It stops before a restart that would take it past ``cap`` products
-    (default _KRYLOV_SWEEPS b), so it takes at most max(``cap``, m + s).
-    It is skipped when n <= m + s.
+    eigenspace. A restart keeps the leading p = k + 4 Ritz rows, written a
+    block of columns at a time, and the s residual rows. The run settles
+    when each of the leading k + 1 Ritz pairs has a residual norm of at
+    most ``tol`` theta_1. It returns (rows, theta, resid, products): its
+    leading max(k, s) Ritz rows, k + 2 Ritz values clipped at 0, k + 1
+    residual norms and products with A^T A. It stops before a restart that
+    would take it past ``cap`` products (default _KRYLOV_SWEEPS b), so it
+    takes at most max(``cap``, m + s). It is skipped when n <= m + s.
 
     A row whose new part is below 1e-12 of the largest product so far, or
     of its own product for a first row (the basis spans an invariant
@@ -412,7 +430,15 @@ def _krylov_start(
                 return None
             rows = y[:, : max(k, s)].T @ basis[:m]
             return rows, np.maximum(theta[: k + 2], 0.0), resid, products
-        basis[:p] = y[:, :p].T @ basis[:m]
+        # the restart writes the leading p rows a block of columns at a time,
+        # so its temporary holds about _SPAN floats, not p whole rows. No
+        # block is one column wide: NumPy hands such a product to gemv,
+        # which sums its m terms in another order
+        width = max(2, _SPAN // p)
+        bounds = [*range(0, g.n - 1, width), g.n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = basis[:, lo:hi]
+            block[:p] = y[:, :p].T @ block[:m]
         basis[p : p + s] = basis[m:]
         t = np.diag(np.pad(theta[:p], (0, m + s - p)))
         first = p

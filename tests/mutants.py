@@ -37,6 +37,7 @@ T_BAD_SETTING = "tests/test_cli.py::test_invalid_run_setting_exits_one_before_an
 T_LOADED = "tests/test_cli.py::test_a_one_process_graph_command_loads_no_pool_and_no_mean_field"
 T_PARSE = f"{T_IO}::test_chunked_load_matches_the_line_parser"
 T_DOUBLED = f"{T_RANKERS}::test_a_check_finds_the_other_copy_of_a_doubled_eigenvalue"
+T_SPANS = f"{T_RANKERS}::test_spans_leave_every_result_bit_for_bit"
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,16 @@ MUTANTS = [
         "for j in {*lower, k}", "for j in {k}",
         (f"{T_RANKERS}::test_a_start_tied_at_a_boundary_read_leaves_a_cold_solve",
          f"{T_RANKERS}::test_readings_below_a_larger_solve_match_their_own_solves"),
+    ),
+    Mutant(
+        "a product that skips its last span of edges", RANKERS,
+        "range(0, len(at), _SPAN)", "range(0, len(at) - _SPAN, _SPAN)",
+        (T_SPANS,),
+    ),
+    Mutant(
+        "a restart that stops one block of columns early", RANKERS,
+        "zip(bounds, bounds[1:])", "zip(bounds, bounds[1:-1])",
+        (T_SPANS,),
     ),
     Mutant(
         "hits keeps unresolved authorities", RANKERS,

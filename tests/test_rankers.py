@@ -79,6 +79,72 @@ def test_matvec_copies_no_edge_index():
     assert peak / g.n_edges <= 12
 
 
+def _span_results(g, x, rankers_too):
+    """Everything a span could change: both products and, with
+    ``rankers_too``, PageRank, randomized HITS, a warm solve read at 1 and
+    6, and a block run, as a forced-cold solve starts it."""
+    results = [rankers._forward(g, x), rankers._backward(g, x)]
+    if rankers_too:
+        warm = solve_spectrum(g, (1, 6))
+        rng = np.random.Generator(np.random.PCG64(0x5A11E57))
+        block = rankers._krylov_start(g, 6, 1e-10, rng, 8, None, 1000)
+        results += [*(np.array([*r.scores, r.iterations_used, r.residual])
+                      for r in (pagerank(g), randomized_hits(g))),
+                    warm.theta, warm.rows, np.array([warm.iterations, warm.residual]),
+                    *block[:3], np.array(block[3])]
+    return results
+
+
+@pytest.mark.parametrize("span, rankers_too", [(1, False), (7, True), (1000, True)])
+def test_spans_leave_every_result_bit_for_bit(span, rankers_too, monkeypatch):
+    # a product in spans of 1, 7 or 1000 edges, where the graph's 6k edges
+    # fit in one span by default, and a restart in blocks of 2 (span 7) or
+    # 100-200 (span 1000) of the 1000 columns, where one block holds them by
+    # default, must give every bit of the one-span results, on the graph
+    # and on a copy with its edges in another order, whose sums run in that
+    # order. Spans of one edge take one np.add.at call per edge, 18 ms a
+    # product, so they check the products alone
+    g, _ = generate(BpamParams(1000, 6, 0.3, 0.1), seed=1)
+    order = np.random.default_rng(5).permutation(g.n_edges)
+    shuffled = from_edge_list(np.column_stack([g.src, g.dst])[order], g.colors)
+    x = np.random.default_rng(6).standard_normal(g.n)
+    assert g.n_edges <= rankers._SPAN and g.n * 10 <= rankers._SPAN
+    for graph in (g, shuffled):
+        whole = _span_results(graph, x, rankers_too)
+        monkeypatch.setattr(rankers, "_SPAN", span)
+        for got, expected in zip(_span_results(graph, x, rankers_too), whole, strict=True):
+            assert got.tobytes() == expected.tobytes()
+        monkeypatch.undo()
+
+
+# A small graph first makes the one-time allocations, so the peak does not
+# depend on which tests ran before. At n=2e4 the graph has 6 edges per node,
+# and one span's gather of 2**15 floats costs 13 B/node, where one gather of
+# the whole edge list cost 48. Each peak falls in a product with A or A^T:
+# - a warm solve, in its check: the check's basis of m + 1 = 21 rows, the
+#   start's 6 rows, and the product's two outputs (29 n-vectors, 232 B/node);
+# - PageRank: Anderson's 8 difference rows, the point, the last output and
+#   its residual, the out-degrees and their inverses, the scaled point and
+#   the product's output (15 n-vectors, 120 B/node, and a 1 B/node mask);
+# - randomized HITS: as PageRank, with in-degrees and their inverses too and
+#   the hubs between the two products (18 n-vectors, 144 B/node, and 2 B/node
+#   of masks).
+# With one gather of the whole edge list they peaked at 281, 169 and 194 B/node.
+@pytest.mark.parametrize("ranker, bound", [
+    (lambda g: solve_spectrum(g, (1, 6)), 256), (pagerank, 150), (randomized_hits, 175),
+], ids=["solve", "pagerank", "randomized_hits"])
+def test_ranker_peak_memory_per_node(ranker, bound):
+    ranker(generate(BpamParams(200, 6, 0.3, 0.1), seed=3)[0])
+    g, _ = generate(BpamParams(20_000, 6, 0.3, 0.1), seed=3)
+    tracemalloc.start()
+    try:
+        ranker(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n <= bound
+
+
 # -- rank_order ---------------------------------------------------------------
 
 def test_rank_order_descending_with_id_ties():
